@@ -18,7 +18,7 @@
 //!
 //! Exits non-zero if (a) any stack diverges from the baseline in any
 //! checked bit — energy to the bit, node caps, per-app reports, free
-//! cores — or (b) the fleet stack is below 3x the baseline's end-to-end
+//! cores — or (b) the fleet stack is below 6x the baseline's end-to-end
 //! throughput. Memo hit rate and steps/sec land in
 //! `results/BENCH_fleet.json` for CI.
 
@@ -57,6 +57,9 @@ const TICKS_PER_INTERVAL: u64 = 500;
 /// rebalances a settled node's inputs are bit-stable and the memo can
 /// replay.
 const REBALANCE_EVERY: u64 = 8;
+/// Required end-to-end speedup of the fleet stack over the scalar-`Chip`
+/// baseline.
+const SPEEDUP_GATE: f64 = 6.0;
 
 /// End state + wall time of one replay. Everything the three stacks
 /// must agree on bit-for-bit.
@@ -240,9 +243,9 @@ fn main() -> ExitCode {
             ));
         }
     }
-    if speedup < 3.0 {
+    if speedup < SPEEDUP_GATE {
         failures.push(format!(
-            "fleet stack is {speedup:.2}x the baseline end-to-end (gate: >= 3x)"
+            "fleet stack is {speedup:.2}x the baseline end-to-end (gate: >= {SPEEDUP_GATE}x)"
         ));
     }
 

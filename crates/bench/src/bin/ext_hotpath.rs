@@ -48,8 +48,10 @@ const WARMUP: usize = 300;
 /// Distinct pre-synthesized telemetry samples cycled during the run.
 const SAMPLE_CYCLE: usize = 512;
 /// Timing trials per path; the best (fastest) trial is reported so a
-/// scheduler hiccup on a shared CI runner can't fail the perf gate.
-/// Allocation counting spans *all* view-path trials.
+/// scheduler hiccup on a shared CI runner can't fail the perf gate. The
+/// two paths alternate trial by trial, so a host slowdown lands on both
+/// sides instead of on whichever path ran during it. Allocation counting
+/// spans *all* view-path trials and only those.
 const TRIALS: usize = 3;
 
 fn skylake_apps() -> Vec<AppSpec> {
@@ -164,8 +166,9 @@ fn make_daemon(
     Daemon::new(config, platform).expect("valid bench config")
 }
 
-/// Run one scenario: warm up, then measure the zero-alloc view path and
-/// (on a fresh daemon, same telemetry) the owning path.
+/// Run one scenario: warm up two daemons on the same telemetry, then
+/// time the zero-alloc view path and the owning path in alternating
+/// trials.
 fn run_scenario(
     name: &str,
     policy: PolicyKind,
@@ -179,35 +182,34 @@ fn run_scenario(
         .map(|i| synth_sample(i, platform, apps, limit))
         .collect();
 
-    // View path: steady-state allocation count plus throughput.
-    let mut d = make_daemon(policy, platform, apps, translation, limit);
-    d.initial();
+    // View path: steady-state allocation count plus throughput. Owned
+    // path: identical telemetry, its own daemon, `step()` clones the
+    // action out of the arena every interval.
+    let mut view = make_daemon(policy, platform, apps, translation, limit);
+    let mut owned = make_daemon(policy, platform, apps, translation, limit);
+    view.initial();
+    owned.initial();
     for i in 0..WARMUP {
-        d.step_view(&samples[i % SAMPLE_CYCLE]);
+        view.step_view(&samples[i % SAMPLE_CYCLE]);
+        owned.step(&samples[i % SAMPLE_CYCLE]);
     }
-    let before = AllocCounter::snapshot();
     let mut view_secs = f64::INFINITY;
+    let mut owned_secs = f64::INFINITY;
+    let (mut alloc_events, mut alloc_bytes) = (0, 0);
     for _ in 0..TRIALS {
+        let before = AllocCounter::snapshot();
         let started = Instant::now();
         for i in 0..steps {
-            d.step_view(&samples[(WARMUP + i) % SAMPLE_CYCLE]);
+            view.step_view(&samples[(WARMUP + i) % SAMPLE_CYCLE]);
         }
         view_secs = view_secs.min(started.elapsed().as_secs_f64());
-    }
-    let after = AllocCounter::snapshot();
+        let after = AllocCounter::snapshot();
+        alloc_events += after.events_since(&before);
+        alloc_bytes += after.bytes_since(&before);
 
-    // Owned path: identical telemetry, fresh daemon, `step()` clones the
-    // action out of the arena every interval.
-    let mut d = make_daemon(policy, platform, apps, translation, limit);
-    d.initial();
-    for i in 0..WARMUP {
-        d.step(&samples[i % SAMPLE_CYCLE]);
-    }
-    let mut owned_secs = f64::INFINITY;
-    for _ in 0..TRIALS {
         let started = Instant::now();
         for i in 0..steps {
-            d.step(&samples[(WARMUP + i) % SAMPLE_CYCLE]);
+            owned.step(&samples[(WARMUP + i) % SAMPLE_CYCLE]);
         }
         owned_secs = owned_secs.min(started.elapsed().as_secs_f64());
     }
@@ -220,8 +222,8 @@ fn run_scenario(
             TranslationKind::Online => "online",
         },
         steps,
-        alloc_events: after.events_since(&before),
-        alloc_bytes: after.bytes_since(&before),
+        alloc_events,
+        alloc_bytes,
         steps_per_sec_view: steps as f64 / view_secs,
         steps_per_sec_owned: steps as f64 / owned_secs,
     }

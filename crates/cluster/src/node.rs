@@ -24,11 +24,11 @@ use pap_simcpu::platform::PlatformSpec;
 use pap_simcpu::units::{Seconds, Watts};
 use pap_simcpu::widechip::WideChip;
 use pap_telemetry::rollup::NodeTelemetry;
-use pap_telemetry::sampler::Sampler;
+use pap_telemetry::sampler::{Sample, Sampler};
 use pap_workloads::engine::RunningApp;
 use pap_workloads::traces::LoadTrace;
 use powerd::config::{AppSpec, DaemonConfig, MemoMode, PolicyKind, TranslationKind};
-use powerd::daemon::{ControlAction, Daemon, DaemonError};
+use powerd::daemon::{ActionView, Daemon, DaemonError};
 use powerd::memo::MemoStats;
 
 use crate::admission::AppRequest;
@@ -60,6 +60,11 @@ pub struct Node<C: ChipLike = WideChip> {
     cap: Watts,
     interval: Seconds,
     tick: Seconds,
+    /// Per-app instruction credits of the current interval (see
+    /// [`Node::advance_interval`]), kept so a settled interval reuses it.
+    credited: Vec<u64>,
+    /// The interval's telemetry, refilled in place by the sampler.
+    sample: Sample,
 }
 
 impl Node {
@@ -99,7 +104,7 @@ impl<C: ChipLike> Node<C> {
         }
         let mut daemon = Daemon::new(config, &platform)?;
         let action = daemon.initial();
-        apply(&mut chip, &action);
+        apply(&mut chip, action.view());
         let sampler = Sampler::new(&chip);
         Ok(Node {
             id,
@@ -112,6 +117,8 @@ impl<C: ChipLike> Node<C> {
             cap,
             interval,
             tick,
+            credited: Vec::new(),
+            sample: Sample::empty(),
         })
     }
 
@@ -260,6 +267,7 @@ impl<C: ChipLike> Node<C> {
     /// Advance one control interval: tick every unparked app and the
     /// chip, then sample telemetry and apply the daemon's decision.
     /// Returns the node's telemetry summary for the cluster roll-up.
+    /// Once the app set has settled, an interval allocates nothing.
     pub fn advance_interval(&mut self) -> NodeTelemetry {
         let steps = (self.interval.value() / self.tick.value()).round() as usize;
         // Per-app instruction credits, accumulated across the interval's
@@ -268,7 +276,8 @@ impl<C: ChipLike> Node<C> {
         // and u64 wrapping adds commute, so one bulk credit is exactly
         // the per-tick sequence — while skipping a chip call per app per
         // tick.
-        let mut credited = vec![0u64; self.apps.len()];
+        self.credited.clear();
+        self.credited.resize(self.apps.len(), 0);
         let steps = steps.max(1);
         let mut t = 0;
         while t < steps {
@@ -276,27 +285,24 @@ impl<C: ChipLike> Node<C> {
             // replay and every running app's next advance is a memo
             // replay of the load already installed, nothing the rest of
             // this interval does can change a chip input — so advance
-            // each app through the remaining ticks in one tight loop
-            // (exact per-tick state sequence, including run wraps) and
-            // batch the chip ticks. Bit-identical to the per-tick loop;
-            // the scalar reference backend never reports steady.
+            // each app through the remaining ticks in one call (exact
+            // per-tick state sequence, including run wraps) and replay
+            // the chip ticks in one batch. Bit-identical to the per-tick
+            // loop; the scalar reference backend never reports steady.
             if self.chip.steady_tick(self.tick) && self.apps_steady() {
                 let k = steps - t;
-                for (app, credit) in self.apps.iter_mut().zip(credited.iter_mut()) {
+                for (app, credit) in self.apps.iter_mut().zip(self.credited.iter_mut()) {
                     let core = app.spec.core;
                     if self.parked[core] {
                         continue;
                     }
                     let f = self.chip.effective_freq(core);
-                    for _ in 0..k {
-                        let out = app.engine.advance(self.tick, f);
-                        *credit = credit.wrapping_add(out.instructions);
-                    }
+                    *credit = credit.wrapping_add(app.engine.advance_steady(k, self.tick, f));
                 }
                 self.chip.run_ticks(k, self.tick);
                 break;
             }
-            for (app, credit) in self.apps.iter_mut().zip(credited.iter_mut()) {
+            for (app, credit) in self.apps.iter_mut().zip(self.credited.iter_mut()) {
                 let core = app.spec.core;
                 if self.parked[core] {
                     continue;
@@ -318,21 +324,19 @@ impl<C: ChipLike> Node<C> {
             self.chip.tick(self.tick);
             t += 1;
         }
-        for (app, credit) in self.apps.iter().zip(credited) {
+        for (app, &credit) in self.apps.iter().zip(&self.credited) {
             self.chip
                 .add_instructions(app.spec.core, credit)
                 .expect("core in range");
         }
-        let sample = self
-            .sampler
-            .sample(&self.chip)
-            .expect("a whole control interval elapsed");
-        let action = self.daemon.step(&sample);
-        apply(&mut self.chip, &action);
-        self.parked = action.parked.clone();
+        let sampled = self.sampler.sample_into(&self.chip, &mut self.sample);
+        assert!(sampled, "a whole control interval elapsed");
+        let action = self.daemon.step_view(&self.sample);
+        apply(&mut self.chip, action);
+        self.parked.copy_from_slice(action.parked);
         NodeTelemetry::from_sample(
             self.id,
-            &sample,
+            &self.sample,
             self.cap,
             self.busy_cores(),
             self.total_shares(),
@@ -341,8 +345,8 @@ impl<C: ChipLike> Node<C> {
     }
 }
 
-fn apply<C: ChipLike>(chip: &mut C, action: &ControlAction) {
-    chip.set_all_requested(&action.freqs)
+fn apply<C: ChipLike>(chip: &mut C, action: ActionView<'_>) {
+    chip.set_all_requested(action.freqs)
         .expect("daemon emits grid/slot-valid frequencies");
     for (core, &p) in action.parked.iter().enumerate() {
         chip.set_forced_idle(core, p).expect("core in range");

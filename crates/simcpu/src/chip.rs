@@ -372,6 +372,18 @@ impl Chip {
     pub fn steady_tick(&self, _dt: Seconds) -> bool {
         false
     }
+
+    /// Package energy, core-domain energy and the RAPL running average,
+    /// to the bit (white-box access for the `WideChip` equivalence
+    /// tests, which the wrapped raw counters are too coarse for).
+    #[cfg(test)]
+    pub(crate) fn accumulators(&self) -> (f64, f64, Option<f64>) {
+        (
+            self.pkg_energy.total().value(),
+            self.cores_energy.total().value(),
+            self.rapl.as_ref().map(|r| r.running_average().value()),
+        )
+    }
 }
 
 #[cfg(test)]

@@ -20,18 +20,37 @@
 //!   every float product a tick folds into the counters (`Δmperf`,
 //!   `Δaperf`, residency seconds, joules) are pure in (frequency, load,
 //!   idle state, `dt`), so they are computed once when one of those
-//!   inputs moves and replayed as plain adds until the next change — in
-//!   steady state the loop body is a handful of adds per core;
+//!   inputs moves and replayed as plain adds until the next change;
+//! * the chip-wide totals a tick folds while walking its cores — core
+//!   power, the active-frequency sum and maximum, and the uncore and
+//!   package power derived from them — are just as invariant between
+//!   input changes, so they are computed once per cache rebuild, in the
+//!   rebuild pass, by the same expressions in the same core order;
 //! * [`WideChip::tick`] allocates nothing, extending the zero-alloc
 //!   `StepScratch`/`*_into` discipline of the control hot path into the
 //!   simulator itself.
 //!
-//! The arithmetic is the *same IEEE-754 operations in the same order* as
-//! `Chip::tick`/`SimCore::integrate`, so a `WideChip` and a `Chip`
-//! driven identically produce bit-identical counters, energy and power —
-//! enforced by the equivalence tests at the bottom of this module and
-//! gated in CI by `ext_hotpath` (which also gates the ≥4× speedup at
-//! 1024 cores that justifies the second implementation).
+//! All ticks go through one replay kernel, `replay(k, dt)`: `tick`
+//! rebuilds whatever moved and replays one tick, and
+//! [`WideChip::run_ticks`] ticks until [`WideChip::steady_tick`] holds,
+//! then replays every remaining tick in a single call. The kernel treats
+//! the two kinds of accumulator differently:
+//!
+//! * the u64 counters (tsc, mperf, aperf) advance by one
+//!   `wrapping_mul(k)` of their cached increment — exact, because
+//!   wrapping u64 addition is associative and commutative;
+//! * every f64 accumulator (per-core residency and energy, package and
+//!   core-domain energy, the RAPL running average, the clock) still
+//!   takes its k adds one at a time in per-tick order, since float
+//!   addition is not associative and `k·x` would round differently.
+//!
+//! The arithmetic is therefore the *same IEEE-754 operations in the same
+//! order* as `Chip::tick`/`SimCore::integrate`, so a `WideChip` and a
+//! `Chip` driven identically produce bit-identical counters, energy and
+//! power — enforced by the equivalence tests at the bottom of this
+//! module (batched `run_ticks` included) and gated in CI by
+//! `ext_hotpath` (which also gates the ≥4× speedup at 1024 cores that
+//! justifies the second implementation).
 
 use std::sync::Arc;
 
@@ -69,6 +88,8 @@ pub struct WideChip {
     rapl: Option<RaplController>,
     pkg_energy: EnergyCounter,
     cores_energy: EnergyCounter,
+    /// Package and core-domain power of every tick since the last cache
+    /// rebuild (which computes them), and so of the last tick.
     last_package_power: Watts,
     last_cores_power: Watts,
 
@@ -125,6 +146,11 @@ pub struct WideChip {
     energy_inc: Vec<Joules>,
     /// `effective.scale(utilization)` for active cores, zero otherwise.
     freq_weight: Vec<KiloHertz>,
+    /// `(base_freq.hz() * dt) as u64`, the tsc increment of every core.
+    tsc_inc: u64,
+    /// `last_cores_power * dt` and `last_package_power * dt` joules.
+    cores_energy_inc: Joules,
+    pkg_energy_inc: Joules,
     /// `dt` the caches were built for (NaN before the first tick).
     last_dt: f64,
     /// (scalar turbo cap, AVX turbo cap, RAPL cap) the caches were
@@ -199,6 +225,9 @@ impl WideChip {
             idle_idx: vec![cstate_index(CState::C6) as u8; n],
             energy_inc: vec![Joules::ZERO; n],
             freq_weight: vec![KiloHertz::ZERO; n],
+            tsc_inc: 0,
+            cores_energy_inc: Joules::ZERO,
+            pkg_energy_inc: Joules::ZERO,
             last_dt: f64::NAN,
             last_caps: (KiloHertz::ZERO, KiloHertz::ZERO, None),
             spec,
@@ -466,7 +495,8 @@ impl WideChip {
     }
 
     /// Rebuild the memoized tick increments for every core whose inputs
-    /// moved. The expressions are verbatim the per-tick arithmetic of
+    /// moved (every core when `all`), and the chip-wide totals in the
+    /// same pass. The expressions are verbatim the per-tick arithmetic of
     /// `Chip::tick`/`SimCore::integrate`, so replaying the cached values
     /// is bit-identical to recomputing them each tick.
     fn rebuild_caches(
@@ -478,56 +508,79 @@ impl WideChip {
         let (cap_scalar, cap_avx, rapl_cap) = caps;
         let grid_min = self.spec.grid.min();
         let mperf_base = self.spec.base_freq.hz() * dt.value();
+        // Chip-wide totals: the sums Chip::tick folds while walking its
+        // cores, by the same expressions in the same core order. They
+        // move only when a cache does, so every tick until the next
+        // rebuild replays them.
+        let mut cores_power = Watts::ZERO;
+        let mut active_freq_sum = KiloHertz::ZERO;
+        let mut max_active_freq = KiloHertz::ZERO;
         for c in 0..self.requested.len() {
-            if !(all || self.cache_dirty[c]) {
-                continue;
-            }
             let is_active = self.active_flag[c];
-            // Same min-chain as Chip::resolve_freq.
-            let mut f = self.requested[c];
-            f = f.min(if self.load_avx[c] {
-                cap_avx
-            } else {
-                cap_scalar
-            });
-            if let Some(rc) = rapl_cap {
-                f = f.min(rc);
-            }
-            let f = f.max(grid_min);
-
-            // Memoized power: the CMOS model is pure in (freq, load,
-            // active, idle state); recompute only when one of them moved.
-            if self.cache_dirty[c] || f != self.effective[c] {
-                self.last_power[c] = if is_active {
-                    self.spec.power.core_power(
-                        f,
-                        &LoadDescriptor {
-                            capacitance: self.load_cap[c],
-                            utilization: self.load_util[c],
-                            avx: self.load_avx[c],
-                        },
-                    )
+            if all || self.cache_dirty[c] {
+                // Same min-chain as Chip::resolve_freq.
+                let mut f = self.requested[c];
+                f = f.min(if self.load_avx[c] {
+                    cap_avx
                 } else {
-                    self.idle_power_by_state[cstate_index(self.idle_state[c])]
-                };
-            }
-            self.effective[c] = f;
+                    cap_scalar
+                });
+                if let Some(rc) = rapl_cap {
+                    f = f.min(rc);
+                }
+                let f = f.max(grid_min);
 
-            // SimCore::integrate's per-tick products, computed once.
-            let active_fraction = if is_active { self.load_util[c] } else { 0.0 };
-            self.mperf_inc[c] = (mperf_base * active_fraction) as u64;
-            self.aperf_inc[c] = (f.hz() * dt.value() * active_fraction) as u64;
-            self.c0_inc[c] = dt.value() * active_fraction;
-            self.idle_inc[c] = dt.value() * (1.0 - active_fraction);
-            self.idle_idx[c] = cstate_index(self.idle_state[c]) as u8;
-            self.energy_inc[c] = self.last_power[c] * dt;
-            self.freq_weight[c] = if is_active {
-                f.scale(self.load_util[c])
-            } else {
-                KiloHertz::ZERO
-            };
-            self.cache_dirty[c] = false;
+                // Memoized power: the CMOS model is pure in (freq, load,
+                // active, idle state); recompute only when one of them
+                // moved.
+                if self.cache_dirty[c] || f != self.effective[c] {
+                    self.last_power[c] = if is_active {
+                        self.spec.power.core_power(
+                            f,
+                            &LoadDescriptor {
+                                capacitance: self.load_cap[c],
+                                utilization: self.load_util[c],
+                                avx: self.load_avx[c],
+                            },
+                        )
+                    } else {
+                        self.idle_power_by_state[cstate_index(self.idle_state[c])]
+                    };
+                }
+                self.effective[c] = f;
+
+                // SimCore::integrate's per-tick products, computed once.
+                let active_fraction = if is_active { self.load_util[c] } else { 0.0 };
+                self.mperf_inc[c] = (mperf_base * active_fraction) as u64;
+                self.aperf_inc[c] = (f.hz() * dt.value() * active_fraction) as u64;
+                self.c0_inc[c] = dt.value() * active_fraction;
+                self.idle_inc[c] = dt.value() * (1.0 - active_fraction);
+                self.idle_idx[c] = cstate_index(self.idle_state[c]) as u8;
+                self.energy_inc[c] = self.last_power[c] * dt;
+                self.freq_weight[c] = if is_active {
+                    f.scale(self.load_util[c])
+                } else {
+                    KiloHertz::ZERO
+                };
+                self.cache_dirty[c] = false;
+            }
+            cores_power += self.last_power[c];
+            if is_active {
+                active_freq_sum += self.freq_weight[c];
+                max_active_freq = max_active_freq.max(self.effective[c]);
+            }
         }
+        let uncore = self
+            .spec
+            .power
+            .uncore_power_at(active_freq_sum, max_active_freq);
+        let package = cores_power + uncore;
+        self.last_cores_power = cores_power;
+        self.last_package_power = package;
+        self.cores_energy_inc = cores_power * dt;
+        self.pkg_energy_inc = package * dt;
+        self.tsc_inc = (self.spec.base_freq.hz() * dt.value()) as u64;
+
         self.any_dirty = false;
         self.freq_moved = false;
         self.last_dt = dt.value();
@@ -537,10 +590,11 @@ impl WideChip {
     /// Advance the chip by `dt`: resolve frequencies, integrate power and
     /// counters, and let the RAPL controller react. Allocation-free.
     pub fn tick(&mut self, dt: Seconds) {
-        let n = self.requested.len();
         debug_assert_eq!(
             self.active_count,
-            (0..n).filter(|&c| self.is_active(c)).count()
+            (0..self.requested.len())
+                .filter(|&c| self.is_active(c))
+                .count()
         );
 
         // Caps depend only on the active count — hoist them out of the
@@ -559,21 +613,37 @@ impl WideChip {
         if resolve_all || self.any_dirty {
             self.rebuild_caches(dt, resolve_all, caps);
         }
+        self.replay(1, dt);
+    }
 
-        // Per-tick counter increment shared by every core.
-        let tsc_inc = (self.spec.base_freq.hz() * dt.value()) as u64;
+    /// Run `n` ticks of `dt` each: tick until the next tick is a pure
+    /// replay ([`WideChip::steady_tick`]), then replay all the rest in
+    /// one call. Bit-identical to `n` calls of [`WideChip::tick`].
+    pub fn run_ticks(&mut self, n: usize, dt: Seconds) {
+        let mut left = n;
+        while left > 0 && !self.steady_tick(dt) {
+            self.tick(dt);
+            left -= 1;
+        }
+        self.replay(left, dt);
+    }
 
-        let mut cores_power = Watts::ZERO;
-        let mut active_freq_sum = KiloHertz::ZERO;
-        let mut max_active_freq = KiloHertz::ZERO;
+    /// The one tick kernel: fold `k` ticks of the cached increments and
+    /// totals into the accumulators. u64 counters take one wrapping
+    /// `k`-fold add (exact); each f64 accumulator takes its `k` adds in
+    /// per-tick order, exactly as `k` calls of `Chip::tick` would. Only
+    /// sound for `k > 1` while [`WideChip::steady_tick`] holds — no cache
+    /// may move and no RAPL limit may move the cap mid-batch. Always
+    /// inlined, so `tick`'s `k = 1` folds the per-tick loops away.
+    #[inline(always)]
+    fn replay(&mut self, k: usize, dt: Seconds) {
+        debug_assert!(k <= 1 || self.steady_tick(dt));
+        let n = self.requested.len();
+        let k64 = k as u64;
+        let tsc_step = self.tsc_inc.wrapping_mul(k64);
 
         // Slices pinned to length n so the indexing below elides bounds
-        // checks; the loop is pure replay — adds of cached increments in
-        // the same order Chip folds the freshly computed ones.
-        let last_power = &self.last_power[..n];
-        let active_flag = &self.active_flag[..n];
-        let freq_weight = &self.freq_weight[..n];
-        let effective = &self.effective[..n];
+        // checks.
         let mperf_inc = &self.mperf_inc[..n];
         let aperf_inc = &self.aperf_inc[..n];
         let c0_inc = &self.c0_inc[..n];
@@ -587,57 +657,59 @@ impl WideChip {
         let energy = &mut self.energy[..n];
 
         for c in 0..n {
-            cores_power += last_power[c];
-            if active_flag[c] {
-                active_freq_sum += freq_weight[c];
-                max_active_freq = max_active_freq.max(effective[c]);
-            }
-            tsc[c] = tsc[c].wrapping_add(tsc_inc);
-            mperf[c] = mperf[c].wrapping_add(mperf_inc[c]);
-            aperf[c] = aperf[c].wrapping_add(aperf_inc[c]);
-            // CStateResidency::record, replayed from the cached products.
+            tsc[c] = tsc[c].wrapping_add(tsc_step);
+            mperf[c] = mperf[c].wrapping_add(mperf_inc[c].wrapping_mul(k64));
+            aperf[c] = aperf[c].wrapping_add(aperf_inc[c].wrapping_mul(k64));
+            // CStateResidency::record and the energy add, on locals.
+            // Idling "in C0" is a second add on the C0 slot.
+            let (c0, idle, joules) = (c0_inc[c], idle_inc[c], energy_inc[c]);
             let r = &mut residency[c];
-            r[0] += c0_inc[c];
-            let idx = idle_idx[c] as usize & 3;
-            if idx == 0 {
-                r[0] += idle_inc[c];
-            } else {
-                r[idx] += idle_inc[c];
+            let mut e = energy[c];
+            let mut active = r[0];
+            match idle_idx[c] as usize & 3 {
+                0 => {
+                    for _ in 0..k {
+                        active += c0;
+                        active += idle;
+                        e.add(joules);
+                    }
+                }
+                idx => {
+                    let mut rest = r[idx];
+                    for _ in 0..k {
+                        active += c0;
+                        rest += idle;
+                        e.add(joules);
+                    }
+                    r[idx] = rest;
+                }
             }
-            energy[c].add(energy_inc[c]);
+            r[0] = active;
+            energy[c] = e;
         }
 
-        let uncore = self
-            .spec
-            .power
-            .uncore_power_at(active_freq_sum, max_active_freq);
-        let package = cores_power + uncore;
-
-        self.cores_energy.add(cores_power * dt);
-        self.pkg_energy.add(package * dt);
-        self.last_cores_power = cores_power;
-        self.last_package_power = package;
-
-        if let Some(r) = self.rapl.as_mut() {
-            r.observe(package, dt);
-        }
-        self.clock.advance(dt);
-    }
-
-    /// Run `n` ticks of `dt` each.
-    pub fn run_ticks(&mut self, n: usize, dt: Seconds) {
-        for _ in 0..n {
-            self.tick(dt);
+        let (cores_joules, pkg_joules) = (self.cores_energy_inc, self.pkg_energy_inc);
+        let package = self.last_package_power;
+        let mut rapl = self.rapl.as_mut();
+        for _ in 0..k {
+            self.cores_energy.add(cores_joules);
+            self.pkg_energy.add(pkg_joules);
+            if let Some(r) = rapl.as_deref_mut() {
+                r.observe(package, dt);
+            }
+            self.clock.advance(dt);
         }
     }
 
     /// Whether the next tick of `dt` takes the pure replay path: no
     /// dirty cores, no requested-frequency movement, the same tick
     /// length, unchanged frequency caps, and no RAPL limit that could
-    /// move the cap mid-stream. Replay ticks mutate only per-core
-    /// accumulators, so steadiness is self-preserving: once true it
-    /// stays true until an input moves, and callers may batch app-major
-    /// loops against frozen effective frequencies (see
+    /// move the cap mid-stream. Replay ticks mutate only accumulators
+    /// (and the RAPL running average, which without a limit never moves
+    /// the cap), so steadiness is self-preserving: once true it stays
+    /// true until an input moves. [`WideChip::run_ticks`] replays the
+    /// rest of its batch in one call from here, and callers may batch
+    /// app-major loops against frozen effective frequencies (see
     /// `Node::advance_interval` in `clusterd`).
     pub fn steady_tick(&self, dt: Seconds) -> bool {
         if self.any_dirty || self.freq_moved || self.last_dt.to_bits() != dt.value().to_bits() {
@@ -653,12 +725,23 @@ impl WideChip {
         );
         caps == self.last_caps
     }
+
+    /// See `Chip::accumulators`.
+    #[cfg(test)]
+    fn accumulators(&self) -> (f64, f64, Option<f64>) {
+        (
+            self.pkg_energy.total().value(),
+            self.cores_energy.total().value(),
+            self.rapl.as_ref().map(|r| r.running_average().value()),
+        )
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::chip::Chip;
+    use crate::chiplike::ChipLike;
 
     const MS: Seconds = Seconds(0.001);
 
@@ -731,33 +814,8 @@ mod tests {
 
     #[test]
     fn bit_identical_to_chip_at_16_cores() {
-        let n = 16;
-        let (chip, wide) = drive_pair(n, 600);
-        assert_eq!(
-            chip.package_power().value().to_bits(),
-            wide.package_power().value().to_bits()
-        );
-        assert_eq!(
-            chip.cores_power().value().to_bits(),
-            wide.cores_power().value().to_bits()
-        );
-        assert_eq!(chip.package_energy_raw(), wide.package_energy_raw());
-        assert_eq!(chip.cores_energy_raw(), wide.cores_energy_raw());
-        assert_eq!(chip.rapl_cap(), wide.rapl_cap());
-        for c in 0..n {
-            assert_eq!(chip.effective_freq(c), wide.effective_freq(c), "core {c}");
-            assert_eq!(chip.counters(c), wide.counters(c), "core {c}");
-            assert_eq!(
-                chip.core(c).energy().total().value().to_bits(),
-                wide.core_energy_total(c).value().to_bits(),
-                "core {c} energy"
-            );
-            assert_eq!(
-                chip.core(c).residency().c0_fraction().to_bits(),
-                wide.c0_fraction(c).to_bits(),
-                "core {c} residency"
-            );
-        }
+        let (chip, wide) = drive_pair(16, 600);
+        assert_bit_identical(&chip, &wide, "16 cores");
     }
 
     #[test]
@@ -785,14 +843,148 @@ mod tests {
             chip.tick(MS);
             wide.tick(MS);
         }
+        assert_bit_identical(&chip, &wide, "Skylake");
+    }
+
+    /// Every observable the replay kernel must reproduce, compared to the
+    /// bit against the scalar oracle.
+    fn assert_bit_identical(chip: &Chip, wide: &WideChip, what: &str) {
+        let bits = |w: Watts| w.value().to_bits();
         assert_eq!(
-            chip.package_power().value().to_bits(),
-            wide.package_power().value().to_bits()
+            chip.now().value().to_bits(),
+            wide.now().value().to_bits(),
+            "{what}: clock"
         );
-        for c in 0..10 {
-            assert_eq!(chip.effective_freq(c), wide.effective_freq(c));
-            assert_eq!(chip.counters(c), wide.counters(c));
+        assert_eq!(
+            bits(chip.package_power()),
+            bits(wide.package_power()),
+            "{what}: package power"
+        );
+        assert_eq!(
+            bits(chip.cores_power()),
+            bits(wide.cores_power()),
+            "{what}: core-domain power"
+        );
+        assert_eq!(
+            chip.package_energy_raw(),
+            wide.package_energy_raw(),
+            "{what}: package energy"
+        );
+        assert_eq!(
+            chip.cores_energy_raw(),
+            wide.cores_energy_raw(),
+            "{what}: core-domain energy"
+        );
+        let (pkg, cores, avg) = chip.accumulators();
+        let (wide_pkg, wide_cores, wide_avg) = wide.accumulators();
+        assert_eq!(pkg.to_bits(), wide_pkg.to_bits(), "{what}: package joules");
+        assert_eq!(cores.to_bits(), wide_cores.to_bits(), "{what}: core joules");
+        assert_eq!(
+            avg.map(f64::to_bits),
+            wide_avg.map(f64::to_bits),
+            "{what}: RAPL running average"
+        );
+        assert_eq!(chip.rapl_cap(), wide.rapl_cap(), "{what}: RAPL cap");
+        for c in 0..chip.num_cores() {
+            let core = chip.core(c);
+            assert_eq!(
+                chip.effective_freq(c),
+                wide.effective_freq(c),
+                "{what}: core {c} frequency"
+            );
+            assert_eq!(chip.counters(c), wide.counters(c), "{what}: core {c}");
+            assert_eq!(
+                bits(core.last_power()),
+                bits(wide.last_power[c]),
+                "{what}: core {c} power"
+            );
+            assert_eq!(
+                core.energy().total().value().to_bits(),
+                wide.core_energy_total(c).value().to_bits(),
+                "{what}: core {c} energy"
+            );
+            assert_eq!(
+                core.residency().c0_fraction().to_bits(),
+                wide.c0_fraction(c).to_bits(),
+                "{what}: core {c} C0 fraction"
+            );
+            for s in CState::ALL {
+                assert_eq!(
+                    core.residency().in_state(s).value().to_bits(),
+                    wide.residency[c][cstate_index(s)].to_bits(),
+                    "{what}: core {c} seconds in {s:?}"
+                );
+            }
         }
+    }
+
+    /// Mixed loads, parked cores and every idle state (C0 included, whose
+    /// idle time is a second add on the C0 slot), with no RAPL limit, so
+    /// `run_ticks` reaches the batched replay.
+    fn configure_mixed<C: ChipLike>(chip: &mut C) {
+        for c in 0..chip.num_cores() {
+            let f = KiloHertz::from_mhz(1000 + 100 * (c as u64 * 5 % 20));
+            let load = match c % 3 {
+                0 => LoadDescriptor::nominal(),
+                1 => LoadDescriptor {
+                    capacitance: 1.4,
+                    utilization: 0.55,
+                    avx: c % 2 == 0,
+                },
+                _ => LoadDescriptor::IDLE,
+            };
+            chip.set_requested_freq(c, f).unwrap();
+            chip.set_load(c, load).unwrap();
+            chip.set_idle_state(c, CState::ALL[c % 4]).unwrap();
+            chip.set_forced_idle(c, c % 7 == 5).unwrap();
+        }
+    }
+
+    #[test]
+    fn run_ticks_replay_is_bit_identical_to_the_scalar_oracle() {
+        const BATCHES: [usize; 5] = [0, 1, 2, 7, 499];
+        let n = 16;
+        let spec = PlatformSpec::wide(n);
+        let mut chip = Chip::new(spec.clone());
+        let mut wide = WideChip::new(spec.clone());
+        configure_mixed(&mut chip);
+        configure_mixed(&mut wide);
+        let run = |chip: &mut Chip, wide: &mut WideChip, dt: Seconds, stage: &str| {
+            for k in BATCHES {
+                chip.run_ticks(k, dt);
+                wide.run_ticks(k, dt);
+                assert_bit_identical(chip, wide, &format!("{stage}, batch of {k}"));
+            }
+        };
+
+        run(&mut chip, &mut wide, MS, "first batches");
+        assert!(
+            wide.steady_tick(MS),
+            "the batches above took the replay path"
+        );
+
+        // A dt change between batches rebuilds every cache at the new
+        // length, and a retarget moves the per-core increments.
+        run(&mut chip, &mut wide, Seconds(0.0025), "after a dt change");
+        for c in (0..n).step_by(3) {
+            let f = KiloHertz::from_mhz(2000 + 100 * (c as u64 % 7));
+            chip.set_requested_freq(c, f).unwrap();
+            wide.set_requested_freq(c, f).unwrap();
+        }
+        run(&mut chip, &mut wide, MS, "after a retarget");
+
+        // A RAPL limit programmed after steady batches: the controller's
+        // first decisions act on the running average the batches built,
+        // so it is compared through the caps it produces.
+        let limit = Watts(wide.package_power().value() * 0.8);
+        chip.set_rapl_limit(Some(limit)).unwrap();
+        wide.set_rapl_limit(Some(limit)).unwrap();
+        assert!(!wide.steady_tick(MS), "a RAPL limit disables batching");
+        run(&mut chip, &mut wide, MS, "under a RAPL limit");
+        assert!(
+            wide.rapl_cap().unwrap() < spec.grid.max(),
+            "the limit must bite for the cap comparison to mean anything"
+        );
     }
 
     #[test]

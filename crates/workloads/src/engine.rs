@@ -169,20 +169,70 @@ impl RunningApp {
         }
     }
 
-    /// Whether the next `advance(dt, freq)` call is a pure memo replay
-    /// whose load descriptor provably equals the one the previous call
-    /// returned: single-phase profile, still running, and the memo keyed
-    /// on the same `(freq, dt)`. Run wrap-around does not break this —
-    /// a single-phase looping app presents the same load across the
-    /// boundary. Drivers use it to elide redundant `set_load` calls and
-    /// batch steady intervals.
+    /// Whether every following `advance(dt, freq)` call is a pure memo
+    /// replay whose load descriptor provably equals the one the previous
+    /// call returned: single-phase looping profile, and the memo keyed on
+    /// the same `(freq, dt)`. Run wrap-around does not break this — a
+    /// single-phase looping app presents the same load across the
+    /// boundary. A `once` app never qualifies: on its last tick it turns
+    /// IDLE, a load change a batch would miss. Drivers use it to elide
+    /// redundant `set_load` calls and batch steady intervals
+    /// ([`RunningApp::advance_steady`]).
     pub fn steady_at(&self, dt: Seconds, freq: KiloHertz) -> bool {
-        !self.done
+        // Looping apps never finish, so `done` needs no separate check.
+        self.looping
             && self.steady_params.is_some()
             && self
                 .memo
                 .as_ref()
                 .is_some_and(|m| m.freq == freq && m.dt_bits == dt.value().to_bits())
+    }
+
+    /// Advance `k` ticks of `dt` at `freq` and return the instructions
+    /// retired, summed with wrapping adds. Bit-identical to `k`
+    /// [`RunningApp::advance`] calls: while [`RunningApp::steady_at`]
+    /// holds the memo is checked once and the per-tick state sequence,
+    /// run wrap-around included, runs on locals; otherwise it falls back
+    /// to the per-tick calls.
+    pub fn advance_steady(&mut self, k: usize, dt: Seconds, freq: KiloHertz) -> u64 {
+        let mut credit = 0u64;
+        if !self.steady_at(dt, freq) {
+            for _ in 0..k {
+                credit = credit.wrapping_add(self.advance(dt, freq).instructions);
+            }
+            return credit;
+        }
+        let m = self.memo.expect("steady_at checked the memo");
+        let total = self.profile.base().total_instructions as f64;
+        let mut retired_in_run = self.retired_in_run;
+        let mut total_retired = self.total_retired;
+        let mut active_time = self.active_time;
+        let mut completed_runs = self.completed_runs;
+        let mut ips = self.last_ips;
+        for _ in 0..k {
+            let remaining = total - retired_in_run;
+            let n = if m.n >= remaining {
+                // The run completes (and, looping, restarts) in this tick.
+                credit = credit.wrapping_add(remaining.round() as u64);
+                ips = remaining / dt.value();
+                completed_runs += 1;
+                retired_in_run = 0.0;
+                remaining
+            } else {
+                credit = credit.wrapping_add(m.instructions);
+                ips = m.ips;
+                retired_in_run += m.n;
+                m.n
+            };
+            total_retired += n;
+            active_time += dt;
+        }
+        self.retired_in_run = retired_in_run;
+        self.total_retired = total_retired;
+        self.active_time = active_time;
+        self.completed_runs = completed_runs;
+        self.last_ips = ips;
+        credit
     }
 
     /// Fraction of the current run completed (0..1); 1.0 once done.
@@ -335,6 +385,80 @@ mod tests {
         let app = RunningApp::once(spec::CAM4);
         let f = KiloHertz::from_mhz(1700);
         assert_eq!(app.baseline_ips(f), spec::CAM4.ips(f));
+    }
+
+    /// `gcc` cut to a run of about seven 1 ms ticks at 2 GHz, so batches
+    /// cross run boundaries.
+    const SHORT_GCC: WorkloadProfile = WorkloadProfile {
+        total_instructions: 10_000_000,
+        ..spec::GCC
+    };
+
+    fn assert_same_state(a: &RunningApp, b: &RunningApp, what: &str) {
+        assert_eq!(
+            a.retired_in_run.to_bits(),
+            b.retired_in_run.to_bits(),
+            "{what}: run position"
+        );
+        assert_eq!(
+            a.total_retired.to_bits(),
+            b.total_retired.to_bits(),
+            "{what}: total retired"
+        );
+        assert_eq!(
+            a.active_time.value().to_bits(),
+            b.active_time.value().to_bits(),
+            "{what}: active time"
+        );
+        assert_eq!(a.last_ips.to_bits(), b.last_ips.to_bits(), "{what}: IPS");
+        assert_eq!(a.completed_runs, b.completed_runs, "{what}: runs");
+        assert_eq!(a.done, b.done, "{what}: done");
+    }
+
+    #[test]
+    fn advance_steady_matches_per_tick_advance_across_run_wraps() {
+        let (dt, f) = (Seconds(0.001), KiloHertz::from_mhz(2000));
+        let mut batched = RunningApp::looping(SHORT_GCC);
+        batched.advance(dt, f);
+        let mut stepped = batched.clone();
+        assert!(batched.steady_at(dt, f));
+        for k in [0, 1, 2, 7, 499] {
+            let credit = batched.advance_steady(k, dt, f);
+            let expected = (0..k).fold(0u64, |sum, _| {
+                sum.wrapping_add(stepped.advance(dt, f).instructions)
+            });
+            assert_eq!(credit, expected, "batch of {k}: instructions");
+            assert_same_state(&batched, &stepped, &format!("batch of {k}"));
+        }
+        assert!(
+            batched.completed_runs() > 50,
+            "the batches must cross run boundaries"
+        );
+    }
+
+    #[test]
+    fn once_app_is_not_steady_on_its_last_tick() {
+        let (dt, f) = (Seconds(0.001), KiloHertz::from_mhz(2000));
+        let mut app = RunningApp::once(SHORT_GCC);
+        app.advance(dt, f);
+        let per_tick = app.memo.expect("memo filled").n;
+        while app.retired_in_run + per_tick < SHORT_GCC.total_instructions as f64 {
+            app.advance(dt, f);
+        }
+        // The memo still matches, but this tick ends the run and the app
+        // turns IDLE: a batch that replayed its busy load would miss that.
+        assert!(!app.steady_at(dt, f));
+        let mut batched = app.clone();
+        let last = app.advance(dt, f);
+        assert!(last.finished_run);
+        let after = app.advance(dt, f);
+        assert_eq!(after.load, LoadDescriptor::IDLE);
+        // advance_steady falls back to per-tick calls and follows it.
+        assert_eq!(
+            batched.advance_steady(2, dt, f),
+            last.instructions + after.instructions
+        );
+        assert_same_state(&batched, &app, "once app past its end");
     }
 
     #[test]

@@ -14,13 +14,15 @@
 
 mod common;
 
+use clusterd::admission::{AppRequest, DemandClass};
+use clusterd::node::Node;
 use common::*;
 use pap_alloccount::{AllocCounter, CountingAlloc};
 use pap_model::TranslationKind;
 use pap_simcpu::platform::PlatformSpec;
-use pap_simcpu::units::Watts;
+use pap_simcpu::units::{Seconds, Watts};
 use pap_telemetry::sampler::Sample;
-use powerd::config::{AppSpec, DaemonConfig, PolicyKind};
+use powerd::config::{AppSpec, DaemonConfig, MemoMode, PolicyKind};
 use powerd::daemon::Daemon;
 use powerd::resilience::{CoreObservation, Observation, ResilienceConfig, ResilientDaemon};
 
@@ -144,6 +146,70 @@ fn zero_alloc_steady_state() {
                     0,
                     "{name}/{translation:?}: step {} allocated on the hot path \
                      ({} allocs, {} reallocs, {} bytes)",
+                    WARMUP + i,
+                    after.allocs - before.allocs,
+                    after.reallocs - before.reallocs,
+                    after.bytes_since(&before),
+                );
+            }
+        }
+    }
+}
+
+/// A settled cluster node — resident apps, no churn — allocates nothing
+/// per control interval: the instruction-credit buffer and the telemetry
+/// sample live on the node, the daemon acts through `step_view`, and the
+/// park flags are copied in place. The shares and priority nodes settle
+/// into batched replay intervals; the RAPL-native node's hardware limit
+/// keeps every tick on the per-tick path.
+#[test]
+fn zero_alloc_settled_node_interval() {
+    const WARMUP: usize = 30;
+    const MEASURED: usize = 30;
+    let policies = [
+        PolicyKind::FrequencyShares,
+        PolicyKind::PerformanceShares,
+        PolicyKind::Priority,
+        PolicyKind::RaplNative,
+    ];
+    for memo in [MemoMode::exact(), MemoMode::Off] {
+        for policy in policies {
+            let mut node = Node::new(
+                0,
+                &PlatformSpec::skylake(),
+                policy,
+                Watts(45.0),
+                Seconds(1.0),
+                Seconds(0.002),
+            )
+            .expect("valid node");
+            node.set_memo(memo);
+            let demands = [
+                DemandClass::Heavy,
+                DemandClass::Moderate,
+                DemandClass::Light,
+                DemandClass::Light,
+            ];
+            for (i, demand) in demands.into_iter().enumerate() {
+                node.admit(&AppRequest::new(
+                    format!("app{i}"),
+                    10 + 20 * i as u32,
+                    demand,
+                ))
+                .expect("a free core");
+            }
+            for _ in 0..WARMUP {
+                node.advance_interval();
+            }
+            for i in 0..MEASURED {
+                let before = AllocCounter::snapshot();
+                node.advance_interval();
+                let after = AllocCounter::snapshot();
+                assert_eq!(
+                    after.events_since(&before),
+                    0,
+                    "{policy:?}/{memo:?}: interval {} allocated ({} allocs, {} reallocs, \
+                     {} bytes)",
                     WARMUP + i,
                     after.allocs - before.allocs,
                     after.reallocs - before.reallocs,
