@@ -6,8 +6,9 @@
 //! node gets budget/8, hardware RAPL, shares ignored), the hierarchical
 //! allocator (cluster cap → per-node caps from telemetry every 4
 //! intervals → per-app frequency shares), and the hierarchical run
-//! again on the parallel engine (one thread per node) to report
-//! wall-clock simulation throughput and confirm bit-identical results.
+//! again on the sharded engine (`pap_scale::run_sharded`, one node per
+//! chunk, several shard workers) to report wall-clock simulation
+//! throughput and confirm bit-identical results.
 //!
 //! Reported per mode: Jain fairness over share-normalized per-app
 //! performance (1.0 = every tenant got exactly the performance its
@@ -19,8 +20,8 @@ use std::time::Instant;
 
 use clusterd::admission::{AppRequest, DemandClass};
 use clusterd::cluster::{AppReport, Cluster, ClusterConfig, ClusterError};
-use clusterd::engine::run_parallel;
 use pap_bench::{f1, f3, Table};
+use pap_scale::{run_sharded, ScaleConfig};
 use pap_simcpu::units::Watts;
 use pap_telemetry::stats::jain;
 use powerd::config::PolicyKind;
@@ -31,6 +32,9 @@ const DAY: u64 = 48; // control intervals in the compressed day
 const MORNING: u64 = 8;
 const PEAK: u64 = 16;
 const EVENING: u64 = 28;
+/// Shard workers for the parallel run: fixed, so the identity check
+/// always runs multi-threaded whatever the host's core count.
+const SHARDS: usize = 4;
 
 const BASE_APPS: usize = 24;
 const DAY_APPS: usize = 32;
@@ -75,8 +79,8 @@ fn replay(policy: PolicyKind, rebalance_every: u64, parallel: bool) -> Outcome {
 
     let start = Instant::now();
     // the trace has events at fixed interval marks; between marks the
-    // engine runs uninterrupted (so the parallel engine's node threads
-    // live for a whole chunk, not a single interval)
+    // engine runs uninterrupted (so the sharded engine's workers live
+    // for a whole stretch, not a single interval)
     for (t, until) in [
         (0, MORNING),
         (MORNING, PEAK),
@@ -129,7 +133,12 @@ fn replay(policy: PolicyKind, rebalance_every: u64, parallel: bool) -> Outcome {
         }
 
         if parallel {
-            run_parallel(&mut cluster, until - t);
+            let sharded = ScaleConfig {
+                shards: SHARDS,
+                chunk_nodes: 1,
+                epsilon: 0.0,
+            };
+            run_sharded(&mut cluster, until - t, &sharded);
         } else {
             cluster.run(until - t);
         }
@@ -202,7 +211,7 @@ fn main() {
     );
     let identical = hier.reports == par.reports && hier.caps == par.caps;
     println!(
-        "parallel engine identical to serial reference: {} (speedup {:.2}x)",
+        "sharded engine ({SHARDS} shards) identical to serial reference: {} (speedup {:.2}x)",
         if identical {
             "yes"
         } else {
@@ -222,7 +231,7 @@ fn main() {
         hier.jain > rapl.jain,
         "hierarchical must beat RAPL-per-node on fairness"
     );
-    assert!(identical, "parallel engine must match the serial reference");
+    assert!(identical, "sharded engine must match the serial reference");
     assert!(
         rapl.rejected > 0 && hier.rejected > 0,
         "peak burst must overflow the cluster"

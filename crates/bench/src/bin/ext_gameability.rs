@@ -11,7 +11,7 @@
 //!
 //! For each policy we report the gamer's *useful* normalized performance
 //! and the honest victim's performance, against an honest/honest
-//! reference. The paper's soundness criterion holds when gaming never
+//! reference. The paper's soundness condition holds when gaming never
 //! increases the gamer's useful performance.
 
 use pap_bench::{f3, par_map, Table};

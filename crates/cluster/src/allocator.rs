@@ -53,7 +53,7 @@ impl NodeClaim {
 
 /// The cluster-level arbiter. Pure: [`rebalance`](BudgetAllocator::rebalance)
 /// maps (cap, claims) to per-node caps with no internal state, which is
-/// what makes the parallel engine's serial-equivalence and the
+/// what makes the sharded engine's serial-equivalence and the
 /// conservation/monotonicity properties checkable.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BudgetAllocator {

@@ -1,6 +1,6 @@
 //! The cluster: many nodes under one global power budget, with dynamic
 //! admission, departures, periodic hierarchical rebalancing, and a
-//! serial reference engine (the parallel engine in [`crate::engine`]
+//! serial reference engine (the sharded engine, `pap_scale::run_sharded`,
 //! must reproduce it exactly).
 
 use std::cmp::Reverse;
@@ -190,8 +190,8 @@ pub enum RequeueOutcome {
 }
 
 /// A running cluster. Admission, departures, and the serial engine live
-/// here; [`crate::engine::run_parallel`] drives the same nodes
-/// concurrently.
+/// here; `pap_scale::run_sharded` drives the same nodes concurrently
+/// through [`EngineSeam`].
 ///
 /// Generic over the node simulator backend through the [`ChipLike`]
 /// seam, defaulting to the batch [`WideChip`]; `Cluster<Chip>` gets the
@@ -199,19 +199,19 @@ pub enum RequeueOutcome {
 /// `ext_fleet`).
 #[derive(Debug)]
 pub struct Cluster<C: ChipLike = WideChip> {
-    pub(crate) cfg: ClusterConfig,
-    pub(crate) nodes: Vec<Node<C>>,
-    pub(crate) allocator: BudgetAllocator,
-    pub(crate) placements: HashMap<String, usize>,
-    pub(crate) requests: HashMap<String, AppRequest>,
-    pub(crate) quarantined: Vec<bool>,
-    pub(crate) intervals_run: u64,
-    pub(crate) energy_j: f64,
-    pub(crate) last_rollup: Option<ClusterRollup>,
+    cfg: ClusterConfig,
+    nodes: Vec<Node<C>>,
+    allocator: BudgetAllocator,
+    placements: HashMap<String, usize>,
+    requests: HashMap<String, AppRequest>,
+    quarantined: Vec<bool>,
+    intervals_run: u64,
+    energy_j: f64,
+    last_rollup: Option<ClusterRollup>,
     /// Decision-trace observer: one record with `source = "cluster"` per
     /// rebalance round. `None` (the default) keeps observability
     /// strictly off-path.
-    pub(crate) observer: Option<DecisionTrace>,
+    observer: Option<DecisionTrace>,
 }
 
 impl Cluster {
@@ -546,7 +546,7 @@ impl<C: ChipLike> Cluster<C> {
 
     /// Serial reference engine: advance every node one control interval
     /// (in node order), aggregate telemetry, and rebalance when due.
-    /// The parallel engine must produce bit-identical state.
+    /// The sharded engine must produce bit-identical state.
     pub fn run(&mut self, intervals: u64) {
         for _ in 0..intervals {
             let teles: Vec<NodeTelemetry> = self
@@ -564,11 +564,11 @@ impl<C: ChipLike> Cluster<C> {
         }
     }
 
-    pub(crate) fn rebalance_due(&self) -> bool {
+    fn rebalance_due(&self) -> bool {
         self.cfg.rebalance_every > 0 && self.intervals_run.is_multiple_of(self.cfg.rebalance_every)
     }
 
-    pub(crate) fn apply_rebalance(&mut self, rollup: &ClusterRollup) {
+    fn apply_rebalance(&mut self, rollup: &ClusterRollup) {
         let started = self.observer.as_ref().map(|_| std::time::Instant::now());
         let claims = claims_from_rollup(&self.cfg.platform, rollup);
         let caps = self.allocator.rebalance(&claims);
@@ -794,12 +794,11 @@ impl<C: ChipLike> EngineSeam<C> {
 }
 
 /// Build the decision record for one rebalance round. Shared by the
-/// serial engine ([`Cluster::apply_rebalance`]), the parallel
-/// arbiter in [`crate::engine`] and the [`EngineSeam`], so all
-/// produce identical records for identical rounds. `intervals_run` is
-/// the post-increment interval count, which every engine holds when
-/// rebalancing.
-pub(crate) fn rebalance_record(
+/// serial engine ([`Cluster::apply_rebalance`]) and the
+/// [`EngineSeam`], so both produce identical records for identical
+/// rounds. `intervals_run` is the post-increment interval count, which
+/// every engine holds when rebalancing.
+fn rebalance_record(
     cfg: &ClusterConfig,
     rollup: &ClusterRollup,
     claims: &[NodeClaim],

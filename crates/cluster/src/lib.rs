@@ -22,11 +22,11 @@
 //!   its `powerd` [`powerd::daemon::Daemon`], and the apps running on
 //!   it, advanced one control interval at a time;
 //! * [`cluster`] — the cluster itself: admission, departures, the
-//!   serial reference engine, and rebalancing;
-//! * [`engine`] — the parallel execution engine: nodes tick
-//!   concurrently on `crossbeam` scoped threads with two barriers per
-//!   control interval (telemetry in, caps out), bit-identical to the
-//!   serial reference.
+//!   serial reference engine, and rebalancing.
+//!
+//! The parallel engine lives one crate up: `pap_scale::run_sharded`
+//! drives the same nodes on a pool of shard workers through
+//! [`EngineSeam`], bit-identical to [`Cluster::run`].
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -34,7 +34,6 @@
 pub mod admission;
 pub mod allocator;
 pub mod cluster;
-pub mod engine;
 pub mod node;
 
 pub use admission::{AppRequest, DemandClass, Placement};

@@ -7,7 +7,7 @@
 //! are directly comparable to the paper's single-node experiments. All
 //! state is owned: nodes on different threads share nothing (the
 //! [`PlatformSpec`] is shared read-only through an [`Arc`]), which is
-//! what lets the parallel engine reproduce the serial reference
+//! what lets the sharded engine reproduce the serial reference
 //! bit-for-bit.
 //!
 //! [`Node`] is generic over its simulator backend through the

@@ -1,20 +1,20 @@
 //! The sharded, event-driven cluster engine.
 //!
-//! The serial `clusterd` reference advances every node in turn, folds a
-//! fresh [`ClusterRollup`] per interval, and the parallel engine in
-//! `clusterd::engine` pins one thread per node with two full barriers
-//! per interval — both fine at 8 nodes, both hopeless at 1024. This
-//! engine replaces them with an epoch-committed shard pool:
+//! The serial `clusterd` reference advances every node in turn and
+//! folds a fresh [`ClusterRollup`] per interval — fine at 8 nodes,
+//! hopeless at 1024. This engine, the workspace's only parallel one,
+//! runs the same nodes on an epoch-committed shard pool of `std`
+//! scoped threads:
 //!
 //! * nodes are partitioned **in id order** into fixed chunks, and a
-//!   small pool of shard workers pulls chunk indices from a shared
-//!   queue — workers never wait while work remains, and a slow chunk
-//!   steals no one's schedule;
-//! * instead of two global barriers, each epoch ends with a
+//!   small pool of shard workers claims chunk indices from a shared
+//!   atomic cursor — workers never wait while work remains, and a slow
+//!   chunk steals no one's schedule;
+//! * there are no global barriers: each epoch ends with a
 //!   **lightweight commit** run by whichever worker finishes the last
 //!   chunk: fold the epoch's telemetry into a resident [`DeltaRollup`],
-//!   account energy, arbitrate when a rebalance is due, refill the
-//!   queue, wake anyone parked. No other thread touches shared state;
+//!   account energy, arbitrate when a rebalance is due, rewind the
+//!   cursor, wake anyone parked. No other thread touches shared state;
 //! * new caps are not pushed through a barrier either: the commit
 //!   leaves them as **pending caps** on each chunk, and the chunk's
 //!   next local step applies them before ticking — observationally
@@ -35,7 +35,6 @@ use std::sync::{Condvar, Mutex};
 
 use clusterd::cluster::EngineSeam;
 use clusterd::{Cluster, Node};
-use crossbeam::queue::SegQueue;
 use pap_simcpu::chiplike::ChipLike;
 use pap_simcpu::units::Watts;
 use pap_telemetry::rollup::{ClusterRollup, DeltaRollup, NodeTelemetry};
@@ -47,7 +46,7 @@ pub struct ScaleConfig {
     /// at the chunk count); `1` runs the same epoch loop inline.
     pub shards: usize,
     /// Nodes per work chunk. Smaller chunks balance better, larger
-    /// chunks amortize queue traffic; the default of 8 keeps a 1024-node
+    /// chunks amortize cursor traffic; the default of 8 keeps a 1024-node
     /// cluster at 128 chunks.
     pub chunk_nodes: usize,
     /// Delta-rollup tolerance. `0` = exact mode (bit-identical to the
@@ -67,23 +66,6 @@ impl Default for ScaleConfig {
 }
 
 impl ScaleConfig {
-    /// The default config with the shard count overridden by the
-    /// `PAP_SCALE_SHARDS` environment variable (unset, empty, `auto` or
-    /// `0` keeps auto; `serial` or `1` forces the inline path; any
-    /// other integer is a fixed worker count). The CI parity gate uses
-    /// this the same way sweeps use `PAP_SWEEP_THREADS`.
-    pub fn from_env() -> ScaleConfig {
-        let mut cfg = ScaleConfig::default();
-        if let Ok(v) = std::env::var("PAP_SCALE_SHARDS") {
-            cfg.shards = match v.trim() {
-                "" | "auto" | "0" => 0,
-                "serial" => 1,
-                n => n.parse().unwrap_or(0),
-            };
-        }
-        cfg
-    }
-
     fn workers(&self, chunks: usize) -> usize {
         let n = match self.shards {
             0 => std::thread::available_parallelism()
@@ -206,10 +188,7 @@ pub fn run_sharded<C: ChipLike + Send>(
     }
     let shards = cfg.workers(chunks.len());
 
-    let queue = SegQueue::new();
-    for i in 0..chunks.len() {
-        queue.push(i);
-    }
+    let cursor = AtomicUsize::new(0);
     let done = AtomicUsize::new(0);
     let epoch = Mutex::new(Epoch {
         seq: 0,
@@ -231,7 +210,7 @@ pub fn run_sharded<C: ChipLike + Send>(
 
     let shared = Shared {
         chunks: &chunks,
-        queue: &queue,
+        cursor: &cursor,
         done: &done,
         epoch: &epoch,
         wake: &wake,
@@ -240,12 +219,11 @@ pub fn run_sharded<C: ChipLike + Send>(
     if shards == 1 {
         worker(&shared);
     } else {
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for _ in 0..shards {
-                s.spawn(|_| worker(&shared));
+                s.spawn(|| worker(&shared));
             }
-        })
-        .expect("shard worker panicked");
+        });
     }
 
     // Teardown: flush caps a final-interval rebalance left pending (the
@@ -283,7 +261,9 @@ pub fn run_sharded<C: ChipLike + Send>(
 /// Everything a shard worker can see.
 struct Shared<'a, C: ChipLike> {
     chunks: &'a [Mutex<Chunk<C>>],
-    queue: &'a SegQueue<usize>,
+    /// Next chunk index to claim this epoch; at or past `chunks.len()`
+    /// the epoch has no unclaimed work left.
+    cursor: &'a AtomicUsize,
     done: &'a AtomicUsize,
     epoch: &'a Mutex<Epoch>,
     wake: &'a Condvar,
@@ -291,14 +271,15 @@ struct Shared<'a, C: ChipLike> {
 }
 
 /// Shard worker loop: local chunk steps while work exists, park on the
-/// epoch condvar when the queue runs dry mid-epoch, exit when the run
-/// finishes. The worker that completes an epoch's last chunk performs
-/// the commit itself — there is no coordinator thread.
+/// epoch condvar when the cursor runs past the last chunk mid-epoch,
+/// exit when the run finishes. The worker that completes an epoch's
+/// last chunk performs the commit itself — there is no coordinator
+/// thread.
 fn worker<C: ChipLike>(sh: &Shared<'_, C>) {
     let mut seen = 0u64;
     loop {
-        match sh.queue.pop() {
-            Some(ci) => {
+        match sh.cursor.fetch_add(1, Ordering::AcqRel) {
+            ci if ci < sh.chunks.len() => {
                 {
                     let mut chunk = sh.chunks[ci].lock().expect("chunk poisoned");
                     let chunk = &mut *chunk;
@@ -314,7 +295,7 @@ fn worker<C: ChipLike>(sh: &Shared<'_, C>) {
                     seen = commit_epoch(sh);
                 }
             }
-            None => {
+            _ => {
                 let mut ep = sh.epoch.lock().expect("epoch poisoned");
                 while ep.seq == seen && !ep.finished {
                     ep = sh.wake.wait(ep).expect("epoch poisoned");
@@ -331,9 +312,9 @@ fn worker<C: ChipLike>(sh: &Shared<'_, C>) {
 /// The epoch commit: fold this epoch's telemetry into the delta rollup
 /// (chunk order == node order, so the exact-mode fold matches the
 /// serial reference bit-for-bit), account the interval, arbitrate when
-/// due (leaving new caps pending on each chunk), then either refill the
-/// queue for the next epoch or mark the run finished. Returns the new
-/// epoch sequence number.
+/// due (leaving new caps pending on each chunk), then either rewind the
+/// chunk cursor for the next epoch or mark the run finished. Returns
+/// the new epoch sequence number.
 fn commit_epoch<C: ChipLike>(sh: &Shared<'_, C>) -> u64 {
     let mut cs = sh.commit.lock().expect("commit state poisoned");
     for chunk in sh.chunks {
@@ -371,9 +352,10 @@ fn commit_epoch<C: ChipLike>(sh: &Shared<'_, C>) -> u64 {
     if finished {
         ep.finished = true;
     } else {
-        for i in 0..sh.chunks.len() {
-            sh.queue.push(i);
-        }
+        // Release pairs with the claiming `fetch_add`'s Acquire: a
+        // worker that claims a chunk of the new epoch also sees `done`
+        // already reset to 0.
+        sh.cursor.store(0, Ordering::Release);
     }
     sh.wake.notify_all();
     ep.seq
@@ -384,9 +366,13 @@ mod tests {
     use super::*;
     use clusterd::{AppRequest, ClusterConfig, DemandClass};
     use pap_simcpu::units::Seconds;
-    use powerd::config::PolicyKind;
+    use powerd::config::{PolicyKind, TranslationKind};
 
     fn cluster(nodes: usize) -> Cluster {
+        cluster_with(nodes, TranslationKind::Naive)
+    }
+
+    fn cluster_with(nodes: usize, translation: TranslationKind) -> Cluster {
         let mut cfg = ClusterConfig::new(
             nodes,
             PolicyKind::FrequencyShares,
@@ -394,6 +380,7 @@ mod tests {
         );
         // Coarse ticks keep the test fast; parity is tick-agnostic.
         cfg.tick = Seconds(0.25);
+        cfg.translation = translation;
         let mut c = Cluster::new(cfg).unwrap();
         for i in 0..nodes * 3 {
             let class = match i % 3 {
@@ -425,23 +412,38 @@ mod tests {
 
     #[test]
     fn exact_mode_is_bit_identical_to_serial() {
-        for shards in [1, 3] {
-            let mut serial = cluster(7);
-            serial.run(11);
-            let mut sharded = cluster(7);
-            let stats = run_sharded(
-                &mut sharded,
-                11,
-                &ScaleConfig {
-                    shards,
-                    chunk_nodes: 2,
-                    epsilon: 0.0,
-                },
-            );
-            assert_identical(&serial, &sharded);
-            assert_eq!(stats.intervals, 11);
-            assert_eq!(stats.chunks, 4);
-            assert_eq!(stats.shards, shards.min(4));
+        // The online model lives inside each node and its capacity
+        // prediction reaches the arbiter through the rollup, so parity
+        // must also hold once the model has published predictions
+        // (it needs about 20 intervals at this tick).
+        for (translation, intervals) in
+            [(TranslationKind::Naive, 11), (TranslationKind::Online, 24)]
+        {
+            for shards in [1, 3] {
+                let mut serial = cluster_with(7, translation);
+                serial.run(intervals);
+                let mut sharded = cluster_with(7, translation);
+                let stats = run_sharded(
+                    &mut sharded,
+                    intervals,
+                    &ScaleConfig {
+                        shards,
+                        chunk_nodes: 2,
+                        epsilon: 0.0,
+                    },
+                );
+                assert_identical(&serial, &sharded);
+                assert_eq!(stats.intervals, intervals);
+                assert_eq!(stats.chunks, 4);
+                assert_eq!(stats.shards, shards.min(4));
+                let rollup = serial.last_rollup().unwrap();
+                let predicted = rollup.nodes.iter().all(|t| t.predicted_capacity.is_some());
+                assert_eq!(
+                    predicted,
+                    translation == TranslationKind::Online,
+                    "only the online case reaches the arbiter's prediction path"
+                );
+            }
         }
     }
 

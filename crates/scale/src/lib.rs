@@ -8,21 +8,20 @@
 //! the property the whole stack is built on — every engine is
 //! **bit-identical to the serial reference**.
 //!
-//! * [`engine`] — the sharded epoch engine: nodes partitioned into
-//!   chunks, a worker pool pulling chunks from a shared queue, and a
+//! * [`engine`] — the sharded epoch engine and the workspace's only
+//!   parallel cluster engine: nodes partitioned into chunks, a pool of
+//!   `std` scoped workers claiming chunks from an atomic cursor, and a
 //!   lightweight epoch commit (run by whichever worker finishes last)
-//!   in place of `clusterd::engine`'s two global barriers. Telemetry
-//!   aggregation is incremental ([`pap_telemetry::rollup::DeltaRollup`]);
-//!   at `epsilon = 0` the whole run is bit-identical to
-//!   [`clusterd::Cluster::run`], at `epsilon > 0` settled nodes are
-//!   skipped entirely.
+//!   instead of global barriers. Telemetry aggregation is incremental
+//!   ([`pap_telemetry::rollup::DeltaRollup`]); at `epsilon = 0` the
+//!   whole run is bit-identical to [`clusterd::Cluster::run`], at
+//!   `epsilon > 0` settled nodes are skipped entirely.
 //! * [`load`] — cluster-scale churn: a `pap-tenants` arrival trace
 //!   drives the resident app population, batched per epoch for
 //!   `Cluster::admit_batch`/`depart_batch`.
 //! * [`sweep`] — the parallel experiment sweep engine (moved here from
-//!   `pap-bench`, which re-exports it): scoped workers, a shared work
-//!   queue, input-ordered collection. The sharded engine grew out of
-//!   this machinery and they share the vendored `crossbeam` shims.
+//!   `pap-bench`, which re-exports it): `std` scoped workers pulling
+//!   jobs from one mutexed iterator, input-ordered collection.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

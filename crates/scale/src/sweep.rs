@@ -3,12 +3,11 @@
 //! Every figure/table/extension binary is a *sweep*: a list of
 //! independent experiment cells (policy × limit × mix …) whose results
 //! are reduced into a table after the fact. The engine here runs those
-//! cells on `crossbeam` scoped worker threads — the same pattern as the
-//! cluster parallel engine in `clusterd::engine` — and collects
-//! results **in input order**, so a parallel sweep's output is
-//! byte-identical to a serial one: each cell owns its chip/daemon/apps
-//! and shares no mutable state, and reduction happens on the calling
-//! thread after all cells land in their slots.
+//! cells on `std` scoped worker threads and collects results **in
+//! input order**, so a parallel sweep's output is byte-identical to a
+//! serial one: each cell owns its chip/daemon/apps and shares no
+//! mutable state, and reduction happens on the calling thread after
+//! all cells land in their slots.
 //!
 //! Thread count is controlled by [`Threads`]; binaries read it from the
 //! `PAP_SWEEP_THREADS` environment variable via [`Threads::from_env`],
@@ -60,10 +59,10 @@ impl Threads {
 /// Map `f` over `jobs` with the given thread mode; results come back in
 /// input order regardless of completion order.
 ///
-/// Cells are distributed through a work-stealing queue and each result
-/// lands in its own pre-allocated slot (one `Mutex<Option<R>>` per cell,
-/// as in the cluster engine's telemetry slots), so workers never contend
-/// on a shared results vector.
+/// Workers take the next `(index, cell)` from one mutex over the
+/// enumerated job iterator, and each result lands in its own
+/// pre-allocated slot (one `Mutex<Option<R>>` per cell), so workers
+/// never contend on a shared results vector.
 pub fn run<T, R, F>(mode: Threads, jobs: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
@@ -74,22 +73,18 @@ where
     if mode.workers(n) <= 1 {
         return jobs.into_iter().map(f).collect();
     }
-    let queue = crossbeam::queue::SegQueue::new();
-    for job in jobs.into_iter().enumerate() {
-        queue.push(job);
-    }
+    let jobs = Mutex::new(jobs.into_iter().enumerate());
     let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for _ in 0..mode.workers(n) {
-            s.spawn(|_| {
-                while let Some((i, job)) = queue.pop() {
-                    let r = f(job);
-                    *slots[i].lock().expect("sweep result slot") = Some(r);
-                }
+            s.spawn(|| loop {
+                // Bind first: the guard must drop before `f` runs.
+                let next = jobs.lock().expect("sweep jobs").next();
+                let Some((i, job)) = next else { break };
+                *slots[i].lock().expect("sweep result slot") = Some(f(job));
             });
         }
-    })
-    .expect("sweep worker panicked");
+    });
     slots
         .into_iter()
         .map(|m| {

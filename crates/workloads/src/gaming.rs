@@ -14,7 +14,7 @@
 //!   without retiring more useful instructions, gaming power-share
 //!   accounting.
 //!
-//! The paper's soundness criterion: a policy is robust when gaming costs
+//! The paper's soundness condition: a policy is robust when gaming costs
 //! the gamer more useful performance than the manipulation gains. The
 //! `ext_gameability` benchmark binary quantifies this per policy.
 

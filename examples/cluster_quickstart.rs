@@ -6,6 +6,7 @@
 //! ```
 
 use clusterd::prelude::*;
+use pap_scale::{run_sharded, ScaleConfig};
 use pap_simcpu::units::Watts;
 use powerd::config::PolicyKind;
 
@@ -41,9 +42,16 @@ fn main() {
         );
     }
 
-    // Run with the parallel engine: one thread per node, the budget
-    // arbiter rebalancing node caps from telemetry every 4 intervals.
-    clusterd::engine::run_parallel(&mut cluster, 20);
+    // Run on the sharded engine: two workers take one node at a time,
+    // and the budget arbiter rebalances node caps from telemetry every
+    // 4 intervals. At epsilon 0 the run is bit-identical to
+    // `cluster.run(20)`.
+    let engine = ScaleConfig {
+        shards: 2,
+        chunk_nodes: 1,
+        epsilon: 0.0,
+    };
+    run_sharded(&mut cluster, 20, &engine);
 
     // Half the tenants leave; their budget claims dissolve.
     for i in (0..18).step_by(2) {
@@ -51,7 +59,7 @@ fn main() {
             .depart(&format!("tenant{i}"))
             .expect("tenant is placed");
     }
-    clusterd::engine::run_parallel(&mut cluster, 20);
+    run_sharded(&mut cluster, 20, &engine);
 
     let rollup = cluster.last_rollup().expect("ran intervals");
     println!(

@@ -1,11 +1,11 @@
 //! End-to-end tests for `clusterd`: dynamic admission with spill and
 //! typed overload rejection, hierarchical budget arbitration beating a
 //! static RAPL-per-node split on share fairness, and bit-identical
-//! serial/parallel execution.
+//! serial/sharded execution.
 
 use clusterd::admission::{AppRequest, DemandClass};
 use clusterd::cluster::{Cluster, ClusterConfig, ClusterError};
-use clusterd::engine::run_parallel;
+use pap_scale::{run_sharded, ScaleConfig};
 use pap_simcpu::units::{Seconds, Watts};
 use pap_telemetry::stats::jain;
 use powerd::config::PolicyKind;
@@ -73,7 +73,12 @@ fn parallel_engine_is_bit_identical_to_serial() {
     let mut serial = build(PolicyKind::FrequencyShares, 2, 10);
     let mut parallel = build(PolicyKind::FrequencyShares, 2, 10);
     serial.run(9);
-    run_parallel(&mut parallel, 9);
+    let engine = ScaleConfig {
+        shards: 4,
+        chunk_nodes: 1,
+        epsilon: 0.0,
+    };
+    assert_eq!(run_sharded(&mut parallel, 9, &engine).shards, 4);
 
     assert_eq!(
         serial.reports(),

@@ -350,7 +350,7 @@ fn resilience_ladder_transitions_are_recorded() {
 fn cluster_records_identical_serial_and_parallel() {
     use clusterd::admission::{AppRequest, DemandClass};
     use clusterd::cluster::{Cluster, ClusterConfig};
-    use clusterd::engine::run_parallel;
+    use pap_scale::{run_sharded, ScaleConfig};
 
     let build = || {
         let mut cfg = ClusterConfig::new(3, PolicyKind::FrequencyShares, Watts(150.0));
@@ -376,7 +376,12 @@ fn cluster_records_identical_serial_and_parallel() {
     let mut serial = build();
     let mut parallel = build();
     serial.run(8);
-    run_parallel(&mut parallel, 8);
+    let engine = ScaleConfig {
+        shards: 3,
+        chunk_nodes: 1,
+        epsilon: 0.0,
+    };
+    assert_eq!(run_sharded(&mut parallel, 8, &engine).shards, 3);
 
     let s = serial.take_observer().expect("observer attached");
     let p = parallel.take_observer().expect("observer attached");

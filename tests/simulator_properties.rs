@@ -49,37 +49,7 @@ proptest! {
         cap in 0.5f64..3.0,
         avx in any::<bool>(),
     ) {
-        let mut chip = Chip::new(PlatformSpec::skylake());
-        for c in 0..10 {
-            chip.set_requested_freq(c, KiloHertz::from_mhz(3000)).unwrap();
-            chip.set_load(c, LoadDescriptor { capacitance: cap, utilization: 1.0, avx })
-                .unwrap();
-        }
-        chip.set_rapl_limit(Some(Watts(limit))).unwrap();
-        chip.run_ticks(3000, Seconds(0.001));
-        // The cap is quantized to 100 MHz steps, so the controller may
-        // oscillate between adjacent steps; judge the *average* power, as
-        // RAPL's running-average semantics do.
-        let mut avg = 0.0;
-        for _ in 0..1000 {
-            chip.tick(Seconds(0.001));
-            avg += chip.package_power().value();
-        }
-        avg /= 1000.0;
-        // DVFS bottoms out at the grid minimum; below that floor RAPL has
-        // no actuator left (our model has no clock gating), so the bound
-        // is max(limit, floor power).
-        let spec_p = PlatformSpec::skylake();
-        let load = LoadDescriptor { capacitance: cap, utilization: 1.0, avx };
-        let floor = spec_p.power.core_power(spec_p.grid.min(), &load).value() * 10.0
-            + spec_p
-                .power
-                .uncore_power(KiloHertz(spec_p.grid.min().khz() * 10))
-                .value();
-        prop_assert!(
-            avg <= limit.max(floor) + 3.0,
-            "avg {avg:.1} W over limit {limit} (floor {floor:.1})"
-        );
+        check_rapl_regulates(limit, cap, avx);
     }
 
     /// Parked cores never consume more than the idle floor, whatever the
@@ -175,4 +145,49 @@ proptest! {
         let many = run(1 + extra);
         prop_assert!(many <= few, "core 0: {few} with 1 active, {many} with {}", 1 + extra);
     }
+}
+
+/// Body of `rapl_regulates_any_load`, callable on fixed inputs.
+fn check_rapl_regulates(limit: f64, cap: f64, avx: bool) {
+    let spec = PlatformSpec::skylake();
+    let load = LoadDescriptor {
+        capacitance: cap,
+        utilization: 1.0,
+        avx,
+    };
+    // DVFS bottoms out at the grid minimum; below that floor RAPL has
+    // no actuator left (our model has no clock gating), so the bound
+    // is max(limit, floor power).
+    let min = spec.grid.min();
+    let floor = spec.power.core_power(min, &load).value() * 10.0
+        + spec.power.uncore_power(KiloHertz(min.khz() * 10)).value();
+    let mut chip = Chip::new(spec);
+    for c in 0..10 {
+        chip.set_requested_freq(c, KiloHertz::from_mhz(3000))
+            .unwrap();
+        chip.set_load(c, load).unwrap();
+    }
+    chip.set_rapl_limit(Some(Watts(limit))).unwrap();
+    chip.run_ticks(3000, Seconds(0.001));
+    // The cap is quantized to 100 MHz steps, so the controller may
+    // oscillate between adjacent steps; judge the *average* power, as
+    // RAPL's running-average semantics do.
+    let mut avg = 0.0;
+    for _ in 0..1000 {
+        chip.tick(Seconds(0.001));
+        avg += chip.package_power().value();
+    }
+    avg /= 1000.0;
+    assert!(
+        avg <= limit.max(floor) + 3.0,
+        "avg {avg:.1} W over limit {limit} (floor {floor:.1})"
+    );
+}
+
+/// Two inputs that once failed `rapl_regulates_any_load`, replayed on
+/// every run.
+#[test]
+fn rapl_regulates_recorded_failures() {
+    check_rapl_regulates(25.0, 2.8768224822738633, false);
+    check_rapl_regulates(49.254079005543, 2.8839678465796887, false);
 }
