@@ -18,7 +18,8 @@
 //! nodes is below 8x the serial reference, or (c) sharded throughput
 //! scales worse than 0.5x ideal from 64 to 512 nodes. An epsilon > 0
 //! run at the largest size reports the skip rate the tolerance buys.
-//! Results land in `results/BENCH_cluster_scale.json` for CI.
+//! Results land in `results/BENCH_cluster_scale.json` for CI, with the
+//! host's available parallelism next to the shard count each size used.
 
 use std::fmt::Write as _;
 use std::process::ExitCode;
@@ -170,10 +171,12 @@ struct SizeResult {
 }
 
 fn json_report(results: &[SizeResult], windows: u64, eps: f64, eps_run: &Outcome) -> String {
+    let parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut s = String::from("{\n  \"bench\": \"cluster_scale\",\n");
     let _ = writeln!(
         s,
-        "  \"windows\": {windows},\n  \"seed\": {SEED},\n  \"sizes\": ["
+        "  \"windows\": {windows},\n  \"seed\": {SEED},\n  \
+         \"host\": {{\"available_parallelism\": {parallelism}}},\n  \"sizes\": ["
     );
     for (i, r) in results.iter().enumerate() {
         let st = r.sharded.stats.as_ref().expect("sharded run has stats");

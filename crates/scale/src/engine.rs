@@ -6,10 +6,12 @@
 //! runs the same nodes on an epoch-committed shard pool of `std`
 //! scoped threads:
 //!
-//! * nodes are partitioned **in id order** into fixed chunks, and a
-//!   small pool of shard workers claims chunk indices from a shared
-//!   atomic cursor — workers never wait while work remains, and a slow
-//!   chunk steals no one's schedule;
+//! * nodes are partitioned **in id order** into fixed chunks —
+//!   disjoint slices borrowed in place from the cluster's own node
+//!   vector, so no node is moved — and a small pool of shard workers
+//!   claims chunk indices from a shared atomic cursor: workers never
+//!   wait while work remains, and a slow chunk steals no one's
+//!   schedule;
 //! * there are no global barriers: each epoch ends with a
 //!   **lightweight commit** run by whichever worker finishes the last
 //!   chunk: fold the epoch's telemetry into a resident [`DeltaRollup`],
@@ -31,7 +33,7 @@
 //! incrementally: the documented speed/accuracy trade at 1000+ nodes.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, PoisonError};
 
 use clusterd::cluster::EngineSeam;
 use clusterd::{Cluster, Node};
@@ -105,13 +107,14 @@ impl ScaleStats {
     }
 }
 
-/// One chunk of consecutive nodes plus its per-epoch scratch: the
-/// telemetry each node produced this epoch and the pending cap (if a
-/// rebalance just ran) to apply before its next local step.
-struct Chunk<C: ChipLike> {
-    nodes: Vec<Node<C>>,
-    tele: Vec<Option<NodeTelemetry>>,
-    caps: Vec<Option<Watts>>,
+/// One chunk of consecutive nodes, borrowed in place from the cluster's
+/// node vector, plus the matching slices of two flat per-node buffers:
+/// the telemetry each node produced this epoch and the pending cap (if
+/// a rebalance just ran) to apply before its next local step.
+struct Chunk<'n, C: ChipLike> {
+    nodes: &'n mut [Node<C>],
+    tele: &'n mut [Option<NodeTelemetry>],
+    caps: &'n mut [Option<Watts>],
 }
 
 /// State only the epoch committer touches. Kept in its own mutex so
@@ -137,23 +140,19 @@ struct Epoch {
 /// Generic over the node backend: the default `Cluster` (WideChip, the
 /// fleet fast path) and the scalar-`Chip` reference both drive through
 /// here — `Send` because chunks of nodes cross shard-thread boundaries.
+///
+/// # Panics
+///
+/// A panic inside a node or the arbiter propagates out of `run_sharded`
+/// once every shard worker has stopped, and leaves the cluster without
+/// its nodes.
 pub fn run_sharded<C: ChipLike + Send>(
     cluster: &mut Cluster<C>,
     intervals: u64,
     cfg: &ScaleConfig,
 ) -> ScaleStats {
-    // Resume the delta store from the last materialized rollup, so a
-    // cluster driven one window at a time (churn between calls) still
-    // gets incremental aggregation: a node whose telemetry has not
-    // moved since the previous window is a skip, not a re-fold. At
-    // epsilon = 0 this is identity-preserving — a row only skips when
-    // it is bit-identical to the resumed one.
-    let seed_rows: Vec<NodeTelemetry> = cluster
-        .last_rollup()
-        .map(|r| r.nodes.clone())
-        .unwrap_or_default();
     let mut seam = cluster.detach_engine();
-    let nodes = seam.take_nodes();
+    let mut nodes = seam.take_nodes();
     let n_nodes = nodes.len();
     if intervals == 0 || n_nodes == 0 {
         seam.put_nodes(nodes);
@@ -172,21 +171,32 @@ pub fn run_sharded<C: ChipLike + Send>(
     let interval = seam.cfg().control_interval;
     let target_intervals = seam.intervals_run() + intervals;
 
-    // Partition nodes into chunks, preserving id order across the
-    // concatenation so the commit's chunk-order fold is a node-order
-    // fold.
-    let mut chunks: Vec<Mutex<Chunk<C>>> = Vec::with_capacity(n_nodes.div_ceil(chunk_nodes));
-    let mut nodes = nodes.into_iter().peekable();
-    while nodes.peek().is_some() {
-        let batch: Vec<Node<C>> = nodes.by_ref().take(chunk_nodes).collect();
-        let len = batch.len();
-        chunks.push(Mutex::new(Chunk {
-            nodes: batch,
-            tele: vec![None; len],
-            caps: vec![None; len],
-        }));
+    // Resume the delta store from the last materialized rollup (the
+    // detached cluster still holds it), so a cluster driven one window
+    // at a time (churn between calls) still gets incremental
+    // aggregation: a node whose telemetry has not moved since the
+    // previous window is a skip, not a re-fold. At epsilon = 0 this is
+    // identity-preserving — a row only skips when it is bit-identical
+    // to the resumed one.
+    let mut delta = DeltaRollup::new(interval, cfg.epsilon);
+    for row in cluster.last_rollup().map_or(&[][..], |r| &r.nodes) {
+        delta.update(row.clone());
     }
-    let shards = cfg.workers(chunks.len());
+    // Seeding is bookkeeping, not work: report only the live folds.
+    let seeded = delta.updates();
+
+    // Chunk the nodes where they live, in id order, so the commit's
+    // chunk-order fold is a node-order fold.
+    let mut tele: Vec<Option<NodeTelemetry>> = vec![None; n_nodes];
+    let mut caps: Vec<Option<Watts>> = vec![None; n_nodes];
+    let chunks: Vec<_> = nodes
+        .chunks_mut(chunk_nodes)
+        .zip(tele.chunks_mut(chunk_nodes))
+        .zip(caps.chunks_mut(chunk_nodes))
+        .map(|((nodes, tele), caps)| Mutex::new(Chunk { nodes, tele, caps }))
+        .collect();
+    let n_chunks = chunks.len();
+    let shards = cfg.workers(n_chunks);
 
     let cursor = AtomicUsize::new(0);
     let done = AtomicUsize::new(0);
@@ -195,12 +205,6 @@ pub fn run_sharded<C: ChipLike + Send>(
         finished: false,
     });
     let wake = Condvar::new();
-    let mut delta = DeltaRollup::new(interval, cfg.epsilon);
-    for row in seed_rows {
-        delta.update(row);
-    }
-    // Seeding is bookkeeping, not work: report only the live folds.
-    let seeded = delta.updates();
     let commit = Mutex::new(CommitState {
         seam,
         delta,
@@ -228,22 +232,17 @@ pub fn run_sharded<C: ChipLike + Send>(
 
     // Teardown: flush caps a final-interval rebalance left pending (the
     // serial engine applied its retargets inside that interval), then
-    // hand everything back to the cluster.
+    // hand the same node vector back to the cluster.
     let CommitState {
         mut seam,
         delta,
         last,
         ..
     } = commit.into_inner().expect("commit state poisoned");
-    let mut nodes = Vec::with_capacity(n_nodes);
-    for chunk in chunks {
-        let mut c = chunk.into_inner().expect("chunk poisoned");
-        for (k, mut node) in c.nodes.drain(..).enumerate() {
-            if let Some(cap) = c.caps[k].take() {
-                node.retarget(cap)
-                    .expect("allocator output stays within platform bounds");
-            }
-            nodes.push(node);
+    for (node, cap) in nodes.iter_mut().zip(caps) {
+        if let Some(cap) = cap {
+            node.retarget(cap)
+                .expect("allocator output stays within platform bounds");
         }
     }
     seam.put_nodes(nodes);
@@ -251,7 +250,7 @@ pub fn run_sharded<C: ChipLike + Send>(
     ScaleStats {
         intervals,
         shards,
-        chunks: n_nodes.div_ceil(chunk_nodes),
+        chunks: n_chunks,
         delta_updates: delta.updates() - seeded,
         delta_skips: delta.skips(),
         unhealthy_nodes: delta.unhealthy_nodes(),
@@ -259,8 +258,8 @@ pub fn run_sharded<C: ChipLike + Send>(
 }
 
 /// Everything a shard worker can see.
-struct Shared<'a, C: ChipLike> {
-    chunks: &'a [Mutex<Chunk<C>>],
+struct Shared<'a, 'n, C: ChipLike> {
+    chunks: &'a [Mutex<Chunk<'n, C>>],
     /// Next chunk index to claim this epoch; at or past `chunks.len()`
     /// the epoch has no unclaimed work left.
     cursor: &'a AtomicUsize,
@@ -275,7 +274,11 @@ struct Shared<'a, C: ChipLike> {
 /// exit when the run finishes. The worker that completes an epoch's
 /// last chunk performs the commit itself — there is no coordinator
 /// thread.
-fn worker<C: ChipLike>(sh: &Shared<'_, C>) {
+fn worker<C: ChipLike>(sh: &Shared<'_, '_, C>) {
+    let _unwind = EndOnUnwind {
+        epoch: sh.epoch,
+        wake: sh.wake,
+    };
     let mut seen = 0u64;
     loop {
         match sh.cursor.fetch_add(1, Ordering::AcqRel) {
@@ -309,13 +312,34 @@ fn worker<C: ChipLike>(sh: &Shared<'_, C>) {
     }
 }
 
+/// Ends the run for every worker when one unwinds. A worker that
+/// panics mid-epoch never reports its chunk done, so no commit runs;
+/// without this the other workers would park on the epoch condvar
+/// forever and `thread::scope` would never join to re-raise the panic.
+struct EndOnUnwind<'a> {
+    epoch: &'a Mutex<Epoch>,
+    wake: &'a Condvar,
+}
+
+impl Drop for EndOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.epoch
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .finished = true;
+            self.wake.notify_all();
+        }
+    }
+}
+
 /// The epoch commit: fold this epoch's telemetry into the delta rollup
 /// (chunk order == node order, so the exact-mode fold matches the
 /// serial reference bit-for-bit), account the interval, arbitrate when
 /// due (leaving new caps pending on each chunk), then either rewind the
 /// chunk cursor for the next epoch or mark the run finished. Returns
 /// the new epoch sequence number.
-fn commit_epoch<C: ChipLike>(sh: &Shared<'_, C>) -> u64 {
+fn commit_epoch<C: ChipLike>(sh: &Shared<'_, '_, C>) -> u64 {
     let mut cs = sh.commit.lock().expect("commit state poisoned");
     for chunk in sh.chunks {
         let mut c = chunk.lock().expect("chunk poisoned");
@@ -423,6 +447,7 @@ mod tests {
                 let mut serial = cluster_with(7, translation);
                 serial.run(intervals);
                 let mut sharded = cluster_with(7, translation);
+                let before = sharded.nodes().as_ptr();
                 let stats = run_sharded(
                     &mut sharded,
                     intervals,
@@ -433,6 +458,11 @@ mod tests {
                     },
                 );
                 assert_identical(&serial, &sharded);
+                assert_eq!(
+                    sharded.nodes().as_ptr(),
+                    before,
+                    "chunks borrow the node vector in place; the same buffer comes back"
+                );
                 assert_eq!(stats.intervals, intervals);
                 assert_eq!(stats.chunks, 4);
                 assert_eq!(stats.shards, shards.min(4));

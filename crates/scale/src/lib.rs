@@ -9,10 +9,12 @@
 //! **bit-identical to the serial reference**.
 //!
 //! * [`engine`] — the sharded epoch engine and the workspace's only
-//!   parallel cluster engine: nodes partitioned into chunks, a pool of
-//!   `std` scoped workers claiming chunks from an atomic cursor, and a
-//!   lightweight epoch commit (run by whichever worker finishes last)
-//!   instead of global barriers. Telemetry aggregation is incremental
+//!   parallel cluster engine: nodes partitioned in place into chunks
+//!   (disjoint borrowed slices of the cluster's own node vector, so no
+//!   node is moved), a pool of `std` scoped workers claiming chunks
+//!   from an atomic cursor, and a lightweight epoch commit (run by
+//!   whichever worker finishes last) instead of global barriers.
+//!   Telemetry aggregation is incremental
 //!   ([`pap_telemetry::rollup::DeltaRollup`]); at `epsilon = 0` the
 //!   whole run is bit-identical to [`clusterd::Cluster::run`], at
 //!   `epsilon > 0` settled nodes are skipped entirely.
