@@ -18,6 +18,13 @@
 //! RAPL enforcement), checks the two stay bit-identical, and gates the
 //! ≥4× tick-throughput speedup at 1024 cores that justifies keeping a
 //! second simulator core (DESIGN.md §15).
+//!
+//! A third section times the steady-replay kernel that sweep never
+//! reaches (a RAPL limit disables batching): a settled 1024-core
+//! `WideChip` with no limit and mixed loads in every idle state runs one
+//! `run_ticks(1000)` against 1000 `tick` calls, both must match
+//! `Chip::run_ticks(1000)` to the bit, and the batch must be ≥10×
+//! faster (DESIGN.md §16.2).
 
 use std::fmt::Write as _;
 use std::process::ExitCode;
@@ -27,6 +34,7 @@ use pap_alloccount::{AllocCounter, CountingAlloc};
 use pap_bench::{f1, Table};
 use pap_model::TranslationKind;
 use pap_simcpu::chip::Chip;
+use pap_simcpu::chiplike::ChipLike;
 use pap_simcpu::core::CoreCounters as SimCounters;
 use pap_simcpu::cstate::CState;
 use pap_simcpu::freq::KiloHertz;
@@ -401,6 +409,107 @@ fn run_wide_sweep() -> Vec<WideResult> {
         .collect()
 }
 
+/// Width of the steady-replay row.
+const STEADY_CORES: usize = 1024;
+/// Ticks in one steady-replay batch.
+const STEADY_TICKS: usize = 1000;
+/// Required speedup of one `run_ticks(STEADY_TICKS)` over the same ticks
+/// taken one `tick` call at a time on a settled chip.
+const STEADY_SPEEDUP_GATE: f64 = 10.0;
+
+/// Everything the steady-replay row compares to the bit: the clock bits,
+/// both package energy counters, and each core's counters, joule bits
+/// and C0-fraction bits.
+type SteadyFingerprint = (u64, u32, u32, Vec<(SimCounters, u64, u64)>);
+
+struct SteadyResult {
+    ticks_per_sec_tick: f64,
+    ticks_per_sec_batched: f64,
+    speedup: f64,
+    bit_identical: bool,
+}
+
+/// Mixed loads in every idle state, parked cores included, and no RAPL
+/// limit, so a settled chip batches.
+fn steady_setup<C: ChipLike>(chip: &mut C) {
+    let freqs = wide_freq_pattern(chip.spec(), 0);
+    chip.set_all_requested(&freqs).unwrap();
+    for c in 0..chip.num_cores() {
+        let (load, parked, _) = wide_core_setup(c);
+        chip.set_load(c, load).unwrap();
+        chip.set_forced_idle(c, parked).unwrap();
+        chip.set_idle_state(c, CState::ALL[c % 4]).unwrap();
+    }
+}
+
+fn steady_fingerprint<C: ChipLike>(
+    chip: &C,
+    core_bits: impl Fn(usize) -> (u64, u64),
+) -> SteadyFingerprint {
+    (
+        chip.now().value().to_bits(),
+        chip.package_energy_raw(),
+        chip.cores_energy_raw(),
+        (0..chip.num_cores())
+            .map(|c| {
+                let (joules, c0) = core_bits(c);
+                (chip.counters(c), joules, c0)
+            })
+            .collect(),
+    )
+}
+
+/// Time one `run_ticks(STEADY_TICKS)` against `STEADY_TICKS` `tick`
+/// calls on two identically settled wide chips (best of [`TRIALS`],
+/// alternating), with the scalar `Chip` running the same batches as the
+/// bit-identity oracle.
+fn run_steady_replay() -> SteadyResult {
+    let spec = PlatformSpec::wide(STEADY_CORES);
+    let mut oracle = Chip::new(spec.clone());
+    let mut batched = WideChip::new(spec.clone());
+    let mut stepped = WideChip::new(spec);
+    steady_setup(&mut oracle);
+    steady_setup(&mut batched);
+    steady_setup(&mut stepped);
+    // One untimed batch builds the caches and settles the chips.
+    oracle.run_ticks(STEADY_TICKS, WIDE_DT);
+    batched.run_ticks(STEADY_TICKS, WIDE_DT);
+    stepped.run_ticks(STEADY_TICKS, WIDE_DT);
+    let (mut batched_secs, mut stepped_secs) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..TRIALS {
+        oracle.run_ticks(STEADY_TICKS, WIDE_DT);
+        let started = Instant::now();
+        batched.run_ticks(STEADY_TICKS, WIDE_DT);
+        batched_secs = batched_secs.min(started.elapsed().as_secs_f64());
+        let started = Instant::now();
+        for _ in 0..STEADY_TICKS {
+            stepped.tick(WIDE_DT);
+        }
+        stepped_secs = stepped_secs.min(started.elapsed().as_secs_f64());
+    }
+    let expected = steady_fingerprint(&oracle, |c| {
+        let core = oracle.core(c);
+        (
+            core.energy().total().value().to_bits(),
+            core.residency().c0_fraction().to_bits(),
+        )
+    });
+    let wide = |chip: &WideChip| {
+        steady_fingerprint(chip, |c| {
+            (
+                chip.core_energy_total(c).value().to_bits(),
+                chip.c0_fraction(c).to_bits(),
+            )
+        })
+    };
+    SteadyResult {
+        ticks_per_sec_tick: STEADY_TICKS as f64 / stepped_secs,
+        ticks_per_sec_batched: STEADY_TICKS as f64 / batched_secs,
+        speedup: stepped_secs / batched_secs,
+        bit_identical: wide(&batched) == expected && wide(&stepped) == expected,
+    }
+}
+
 /// One scenario row recovered from a committed `BENCH_hotpath.json`.
 struct BaselineEntry {
     name: String,
@@ -545,7 +654,7 @@ fn scenarios() -> Vec<(&'static str, PolicyKind, PlatformSpec, Vec<AppSpec>)> {
     ]
 }
 
-fn json_report(results: &[ScenarioResult], wide: &[WideResult]) -> String {
+fn json_report(results: &[ScenarioResult], wide: &[WideResult], steady: &SteadyResult) -> String {
     let mut s = String::from("{\n  \"bench\": \"hotpath\",\n");
     let _ = writeln!(
         s,
@@ -584,7 +693,16 @@ fn json_report(results: &[ScenarioResult], wide: &[WideResult]) -> String {
             if i + 1 == wide.len() { "" } else { "," }
         );
     }
-    s.push_str("  ]\n}\n");
+    let _ = writeln!(
+        s,
+        "  ],\n  \"steady_replay\": {{\"cores\": {STEADY_CORES}, \"ticks\": {STEADY_TICKS}, \
+         \"ticks_per_sec_tick\": {:.1}, \"ticks_per_sec_batched\": {:.1}, \
+         \"speedup\": {:.2}, \"bit_identical\": {}}}\n}}",
+        steady.ticks_per_sec_tick,
+        steady.ticks_per_sec_batched,
+        steady.speedup,
+        steady.bit_identical
+    );
     s
 }
 
@@ -706,7 +824,36 @@ fn main() -> ExitCode {
     }
     println!("{wt}");
 
-    let json = json_report(&results, &wide);
+    let steady = run_steady_replay();
+    let mut st = Table::new(
+        format!(
+            "Steady replay: one run_ticks({STEADY_TICKS}) vs {STEADY_TICKS} tick calls \
+             ({STEADY_CORES} cores, no RAPL limit)"
+        ),
+        &["kticks_tick", "kticks_batched", "speedup", "bit_identical"],
+    );
+    st.row(vec![
+        f1(steady.ticks_per_sec_tick / 1e3),
+        f1(steady.ticks_per_sec_batched / 1e3),
+        f1(steady.speedup),
+        steady.bit_identical.to_string(),
+    ]);
+    println!("{st}");
+    if !steady.bit_identical {
+        failures.push(format!(
+            "steady replay: WideChip diverged from Chip::run_ticks({STEADY_TICKS}) at \
+             {STEADY_CORES} cores"
+        ));
+    }
+    if steady.speedup < STEADY_SPEEDUP_GATE {
+        failures.push(format!(
+            "steady replay: run_ticks({STEADY_TICKS}) only {:.2}x the per-tick loop at \
+             {STEADY_CORES} cores (gate: >={STEADY_SPEEDUP_GATE}x)",
+            steady.speedup
+        ));
+    }
+
+    let json = json_report(&results, &wide, &steady);
     if let Some(dir) = std::path::Path::new(&out_path).parent() {
         let _ = std::fs::create_dir_all(dir);
     }
@@ -719,7 +866,8 @@ fn main() -> ExitCode {
              policy and translation; borrowed view path at or above the \
              owned path's throughput; wide-chip batch stepping bit-identical \
              to the per-core simulator and >={WIDE_SPEEDUP_GATE}x faster at \
-             the widest descriptor."
+             the widest descriptor; steady replay bit-identical and \
+             >={STEADY_SPEEDUP_GATE}x the per-tick loop."
         );
         ExitCode::SUCCESS
     } else {

@@ -1,6 +1,6 @@
 //! Simulation clock.
 
-use crate::units::Seconds;
+use crate::units::{repeat_add, Seconds};
 
 /// Monotone simulated-time clock.
 ///
@@ -42,6 +42,18 @@ impl SimClock {
         );
         self.now += dt;
         self.ticks += 1;
+    }
+
+    /// Advance by `k` ticks of `dt`, bit-identical to `k` calls of
+    /// [`SimClock::advance`] (see [`repeat_add`]).
+    #[inline]
+    pub fn advance_repeated(&mut self, dt: Seconds, k: usize) {
+        debug_assert!(
+            dt.value().is_finite() && dt.value() > 0.0,
+            "bad tick {dt:?}"
+        );
+        self.now = Seconds(repeat_add(self.now.value(), [dt.value()], k));
+        self.ticks += k as u64;
     }
 }
 

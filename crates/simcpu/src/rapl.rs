@@ -11,7 +11,7 @@
 //! and what the per-application policies replace.
 
 use crate::freq::{FreqGrid, KiloHertz};
-use crate::units::{Joules, Seconds, Watts};
+use crate::units::{repeat_add, Joules, Seconds, Watts};
 
 /// Energy accounting unit used by the emulated counters: 2⁻¹⁴ J ≈ 61 µJ,
 /// the default RAPL energy status unit on Intel parts.
@@ -40,6 +40,14 @@ impl EnergyCounter {
     pub fn add(&mut self, e: Joules) {
         debug_assert!(e.value() >= 0.0, "negative energy {e:?}");
         self.total += e;
+    }
+
+    /// Accumulate `k` increments of `e` joules, bit-identical to `k`
+    /// calls of [`EnergyCounter::add`] (see [`repeat_add`]).
+    #[inline]
+    pub fn add_repeated(&mut self, e: Joules, k: usize) {
+        debug_assert!(e.value() >= 0.0, "negative energy {e:?}");
+        self.total = Joules(repeat_add(self.total.value(), [e.value()], k));
     }
 
     /// The register value software reads: total energy in

@@ -34,23 +34,30 @@
 //! rebuilds whatever moved and replays one tick, and
 //! [`WideChip::run_ticks`] ticks until [`WideChip::steady_tick`] holds,
 //! then replays every remaining tick in a single call. The kernel treats
-//! the two kinds of accumulator differently:
+//! each kind of accumulator differently:
 //!
 //! * the u64 counters (tsc, mperf, aperf) advance by one
 //!   `wrapping_mul(k)` of their cached increment — exact, because
 //!   wrapping u64 addition is associative and commutative;
-//! * every f64 accumulator (per-core residency and energy, package and
-//!   core-domain energy, the RAPL running average, the clock) still
-//!   takes its k adds one at a time in per-tick order, since float
-//!   addition is not associative and `k·x` would round differently.
+//! * every plain f64 accumulator (per-core residency and energy, package
+//!   and core-domain energy, the clock) fast-forwards its k adds through
+//!   [`repeat_add`]: float addition is not associative, so `k·x` would
+//!   round differently, but inside one binade each add lands a fixed
+//!   whole number of ulps further on, so the ticks that stay in the
+//!   binade collapse into one integer add on the bit pattern — the same
+//!   bits the k adds produce, in O(binades crossed) steps;
+//! * the RAPL running average is an EWMA, not a plain add, so it keeps
+//!   its per-tick `observe` loop.
 //!
-//! The arithmetic is therefore the *same IEEE-754 operations in the same
-//! order* as `Chip::tick`/`SimCore::integrate`, so a `WideChip` and a
-//! `Chip` driven identically produce bit-identical counters, energy and
-//! power — enforced by the equivalence tests at the bottom of this
-//! module (batched `run_ticks` included) and gated in CI by
-//! `ext_hotpath` (which also gates the ≥4× speedup at 1024 cores that
-//! justifies the second implementation).
+//! Every result is bit-for-bit what `Chip::tick`/`SimCore::integrate`
+//! compute with the *same IEEE-754 operations in the same order*, so a
+//! `WideChip` and a `Chip` driven identically produce bit-identical
+//! counters, energy and power — enforced by the equivalence tests at the
+//! bottom of this module (batched `run_ticks` included, up to
+//! 100 000-tick batches) and gated in CI by `ext_hotpath` (which also
+//! gates the ≥4× speedup at 1024 cores that justifies the second
+//! implementation, and the ≥10× of a steady 1000-tick batch over
+//! per-tick calls).
 
 use std::sync::Arc;
 
@@ -62,7 +69,7 @@ use crate::freq::KiloHertz;
 use crate::platform::PlatformSpec;
 use crate::power::LoadDescriptor;
 use crate::rapl::{EnergyCounter, RaplController};
-use crate::units::{Joules, Seconds, Watts};
+use crate::units::{repeat_add, Joules, Seconds, Watts};
 
 /// Index of a [`CState`] in [`CState::ALL`], precomputed so the tick loop
 /// never searches the array.
@@ -328,6 +335,7 @@ impl WideChip {
     }
 
     /// The frequency `core` actually ran at during the last tick.
+    #[inline]
     pub fn effective_freq(&self, core: usize) -> KiloHertz {
         self.effective[core]
     }
@@ -339,6 +347,7 @@ impl WideChip {
     /// rebuild would reproduce them bit-for-bit — and cluster nodes
     /// re-install every resident app's load each tick, which would
     /// otherwise force a rebuild on every tick of a steady interval.
+    #[inline]
     pub fn set_load(&mut self, core: usize, load: LoadDescriptor) -> Result<()> {
         self.check_core(core)?;
         debug_assert!(load.is_valid());
@@ -386,6 +395,7 @@ impl WideChip {
     }
 
     /// Credit retired instructions to a core.
+    #[inline]
     pub fn add_instructions(&mut self, core: usize, n: u64) -> Result<()> {
         self.check_core(core)?;
         self.instructions[core] = self.instructions[core].wrapping_add(n);
@@ -630,11 +640,13 @@ impl WideChip {
 
     /// The one tick kernel: fold `k` ticks of the cached increments and
     /// totals into the accumulators. u64 counters take one wrapping
-    /// `k`-fold add (exact); each f64 accumulator takes its `k` adds in
-    /// per-tick order, exactly as `k` calls of `Chip::tick` would. Only
-    /// sound for `k > 1` while [`WideChip::steady_tick`] holds — no cache
-    /// may move and no RAPL limit may move the cap mid-batch. Always
-    /// inlined, so `tick`'s `k = 1` folds the per-tick loops away.
+    /// `k`-fold add (exact); each f64 accumulator fast-forwards through
+    /// [`repeat_add`], bit-identical to its `k` adds in per-tick order,
+    /// and the RAPL running average takes its `k` per-tick EWMA steps —
+    /// exactly as `k` calls of `Chip::tick` would. Only sound for `k > 1`
+    /// while [`WideChip::steady_tick`] holds — no cache may move and no
+    /// RAPL limit may move the cap mid-batch. Always inlined, so `tick`'s
+    /// `k = 1` is the plain per-tick adds.
     #[inline(always)]
     fn replay(&mut self, k: usize, dt: Seconds) {
         debug_assert!(k <= 1 || self.steady_tick(dt));
@@ -660,45 +672,35 @@ impl WideChip {
             tsc[c] = tsc[c].wrapping_add(tsc_step);
             mperf[c] = mperf[c].wrapping_add(mperf_inc[c].wrapping_mul(k64));
             aperf[c] = aperf[c].wrapping_add(aperf_inc[c].wrapping_mul(k64));
-            // CStateResidency::record and the energy add, on locals.
+            // CStateResidency::record and the energy add, on locals (at
+            // `k = 1` this keeps `tick`'s per-core loop in registers).
             // Idling "in C0" is a second add on the C0 slot.
             let (c0, idle, joules) = (c0_inc[c], idle_inc[c], energy_inc[c]);
             let r = &mut residency[c];
             let mut e = energy[c];
             let mut active = r[0];
             match idle_idx[c] as usize & 3 {
-                0 => {
-                    for _ in 0..k {
-                        active += c0;
-                        active += idle;
-                        e.add(joules);
-                    }
-                }
+                0 => active = repeat_add(active, [c0, idle], k),
                 idx => {
-                    let mut rest = r[idx];
-                    for _ in 0..k {
-                        active += c0;
-                        rest += idle;
-                        e.add(joules);
-                    }
-                    r[idx] = rest;
+                    active = repeat_add(active, [c0], k);
+                    r[idx] = repeat_add(r[idx], [idle], k);
                 }
             }
+            e.add_repeated(joules, k);
             r[0] = active;
             energy[c] = e;
         }
 
-        let (cores_joules, pkg_joules) = (self.cores_energy_inc, self.pkg_energy_inc);
+        self.cores_energy.add_repeated(self.cores_energy_inc, k);
+        self.pkg_energy.add_repeated(self.pkg_energy_inc, k);
         let package = self.last_package_power;
-        let mut rapl = self.rapl.as_mut();
-        for _ in 0..k {
-            self.cores_energy.add(cores_joules);
-            self.pkg_energy.add(pkg_joules);
-            if let Some(r) = rapl.as_deref_mut() {
+        if let Some(r) = self.rapl.as_mut() {
+            // An EWMA, not a plain add: it keeps its per-tick loop.
+            for _ in 0..k {
                 r.observe(package, dt);
             }
-            self.clock.advance(dt);
         }
+        self.clock.advance_repeated(dt, k);
     }
 
     /// Whether the next tick of `dt` takes the pure replay path: no
@@ -942,7 +944,7 @@ mod tests {
 
     #[test]
     fn run_ticks_replay_is_bit_identical_to_the_scalar_oracle() {
-        const BATCHES: [usize; 5] = [0, 1, 2, 7, 499];
+        const BATCHES: [usize; 6] = [0, 1, 2, 7, 499, 100_000];
         let n = 16;
         let spec = PlatformSpec::wide(n);
         let mut chip = Chip::new(spec.clone());

@@ -8,7 +8,7 @@
 
 use pap_simcpu::freq::KiloHertz;
 use pap_simcpu::power::LoadDescriptor;
-use pap_simcpu::units::Seconds;
+use pap_simcpu::units::{repeat_add, Seconds};
 
 use crate::phases::{PhaseParams, PhasedProfile};
 use crate::profile::WorkloadProfile;
@@ -97,6 +97,7 @@ impl RunningApp {
     }
 
     /// Advance by `dt` at core frequency `freq`.
+    #[inline]
     pub fn advance(&mut self, dt: Seconds, freq: KiloHertz) -> StepOutcome {
         if self.done {
             self.last_ips = 0.0;
@@ -190,48 +191,32 @@ impl RunningApp {
 
     /// Advance `k` ticks of `dt` at `freq` and return the instructions
     /// retired, summed with wrapping adds. Bit-identical to `k`
-    /// [`RunningApp::advance`] calls: while [`RunningApp::steady_at`]
-    /// holds the memo is checked once and the per-tick state sequence,
-    /// run wrap-around included, runs on locals; otherwise it falls back
-    /// to the per-tick calls.
+    /// [`RunningApp::advance`] calls. While [`RunningApp::steady_at`]
+    /// holds and no tick of the batch completes the run, the memo is
+    /// checked once and the run position, total retired and active time
+    /// fast-forward through [`repeat_add`] instead of taking one add per
+    /// tick. A tick completes the run when `n >= total − x`, with `x` the
+    /// position it starts from; for `n >= 0` positions only grow, so the
+    /// batch's last tick is the only one to test. A batch that completes
+    /// the run (or a negative or NaN `n`) falls back to the per-tick
+    /// calls.
     pub fn advance_steady(&mut self, k: usize, dt: Seconds, freq: KiloHertz) -> u64 {
-        let mut credit = 0u64;
-        if !self.steady_at(dt, freq) {
-            for _ in 0..k {
-                credit = credit.wrapping_add(self.advance(dt, freq).instructions);
+        if k > 0 && self.steady_at(dt, freq) {
+            let m = self.memo.expect("steady_at checked the memo");
+            let total = self.profile.base().total_instructions as f64;
+            let last = repeat_add(self.retired_in_run, [m.n], k - 1);
+            if m.n >= 0.0 && m.n < total - last {
+                self.retired_in_run = last + m.n;
+                self.total_retired = repeat_add(self.total_retired, [m.n], k);
+                self.active_time = Seconds(repeat_add(self.active_time.value(), [dt.value()], k));
+                self.last_ips = m.ips;
+                return m.instructions.wrapping_mul(k as u64);
             }
-            return credit;
         }
-        let m = self.memo.expect("steady_at checked the memo");
-        let total = self.profile.base().total_instructions as f64;
-        let mut retired_in_run = self.retired_in_run;
-        let mut total_retired = self.total_retired;
-        let mut active_time = self.active_time;
-        let mut completed_runs = self.completed_runs;
-        let mut ips = self.last_ips;
+        let mut credit = 0u64;
         for _ in 0..k {
-            let remaining = total - retired_in_run;
-            let n = if m.n >= remaining {
-                // The run completes (and, looping, restarts) in this tick.
-                credit = credit.wrapping_add(remaining.round() as u64);
-                ips = remaining / dt.value();
-                completed_runs += 1;
-                retired_in_run = 0.0;
-                remaining
-            } else {
-                credit = credit.wrapping_add(m.instructions);
-                ips = m.ips;
-                retired_in_run += m.n;
-                m.n
-            };
-            total_retired += n;
-            active_time += dt;
+            credit = credit.wrapping_add(self.advance(dt, freq).instructions);
         }
-        self.retired_in_run = retired_in_run;
-        self.total_retired = total_retired;
-        self.active_time = active_time;
-        self.completed_runs = completed_runs;
-        self.last_ips = ips;
         credit
     }
 
@@ -418,22 +403,32 @@ mod tests {
     #[test]
     fn advance_steady_matches_per_tick_advance_across_run_wraps() {
         let (dt, f) = (Seconds(0.001), KiloHertz::from_mhz(2000));
-        let mut batched = RunningApp::looping(SHORT_GCC);
-        batched.advance(dt, f);
-        let mut stepped = batched.clone();
-        assert!(batched.steady_at(dt, f));
-        for k in [0, 1, 2, 7, 499] {
-            let credit = batched.advance_steady(k, dt, f);
-            let expected = (0..k).fold(0u64, |sum, _| {
-                sum.wrapping_add(stepped.advance(dt, f).instructions)
-            });
-            assert_eq!(credit, expected, "batch of {k}: instructions");
-            assert_same_state(&batched, &stepped, &format!("batch of {k}"));
+        // A SHORT_GCC run ends inside every batch of seven ticks or more,
+        // so those take the per-tick calls; a CAM4 run (~168k ticks)
+        // outlasts all the batches, so each one fast-forwards.
+        for (profile, wraps) in [(SHORT_GCC, true), (spec::CAM4, false)] {
+            let mut batched = RunningApp::looping(profile);
+            batched.advance(dt, f);
+            let mut stepped = batched.clone();
+            assert!(batched.steady_at(dt, f));
+            for k in [0, 1, 2, 7, 499, 100_000] {
+                let credit = batched.advance_steady(k, dt, f);
+                let expected = (0..k).fold(0u64, |sum, _| {
+                    sum.wrapping_add(stepped.advance(dt, f).instructions)
+                });
+                let what = format!("{}, batch of {k}", profile.name);
+                assert_eq!(credit, expected, "{what}: instructions");
+                assert_same_state(&batched, &stepped, &what);
+            }
+            if wraps {
+                assert!(
+                    batched.completed_runs() > 50,
+                    "the batches must cross run boundaries"
+                );
+            } else {
+                assert_eq!(batched.completed_runs(), 0, "no batch may end the run");
+            }
         }
-        assert!(
-            batched.completed_runs() > 50,
-            "the batches must cross run boundaries"
-        );
     }
 
     #[test]
