@@ -9,67 +9,9 @@
 
 use pap_bench::sweep::{self, Threads};
 use pap_bench::{f1, Table};
-use pap_simcpu::chip::Chip;
 use pap_simcpu::platform::PlatformSpec;
 use pap_simcpu::units::Seconds;
-use pap_telemetry::sampler::Sampler;
-use pap_workloads::latency::{ClosedLoopService, DemandShape, ServiceConfig};
-use powerd::governor::Governor;
-
-fn run(gov: Governor) -> (f64, f64, f64) {
-    let platform = PlatformSpec::skylake();
-    let mut chip = Chip::new(platform);
-    let cfg = ServiceConfig {
-        users: 40,
-        mean_think: Seconds(0.4),
-        mean_service_cycles: 18.0e6,
-        demand: DemandShape::Exponential,
-        capacitance: 0.8,
-        seed: 42,
-    };
-    let mut svc = ClosedLoopService::new(cfg, 1);
-    let grid = chip.spec().grid;
-    let mut freq = match gov {
-        Governor::Powersave => grid.min(),
-        _ => grid.max(),
-    };
-    chip.set_requested_freq(0, freq).unwrap();
-
-    let mut sampler = Sampler::new(&chip);
-    let dt = Seconds(0.001);
-    let mut power_acc = 0.0;
-    let mut samples = 0.0;
-    let mut t = 0.0;
-    let mut next_eval = 0.1; // kernel governors evaluate every ~100 ms
-    let warmup = 10.0;
-    let mut stats_reset = false;
-
-    while t < 70.0 {
-        let f = chip.effective_freq(0);
-        let loads = svc.advance(dt, &[f]);
-        chip.set_load(0, loads[0]).unwrap();
-        chip.tick(dt);
-        t += dt.value();
-
-        if !stats_reset && t >= warmup {
-            svc.reset_stats();
-            stats_reset = true;
-        }
-        if t + 1e-9 >= next_eval {
-            next_eval += 0.1;
-            if let Some(s) = sampler.sample(&chip) {
-                let util = s.cores[0].rates.c0_residency;
-                freq = gov.next_freq(&grid, freq, util);
-                chip.set_requested_freq(0, freq).unwrap();
-                if stats_reset {
-                    power_acc += s.package_power.value();
-                    samples += 1.0;
-                }
-            }
-        }
-    }
-    (svc.p90_ms(), power_acc / samples, svc.throughput())
-}
+use powerd::governor::{run_service, Governor};
 
 fn main() {
     let governors = [
@@ -82,11 +24,19 @@ fn main() {
         "Extension: cpufreq governors on a bursty single-core service (40 users)",
         &["governor", "p90_ms", "pkg_w", "throughput_rps"],
     );
+    let platform = PlatformSpec::skylake();
     let results = sweep::run(Threads::from_env(), governors.to_vec(), |(name, gov)| {
-        (name, run(gov))
+        let run = run_service(gov, &platform, 42, Seconds(60.0))
+            .expect("core 0 exists and governors pick on-grid frequencies");
+        (name, run)
     });
-    for (name, (p90, pkg, x)) in results {
-        t.row(vec![name.into(), f1(p90), f1(pkg), f1(x)]);
+    for (name, run) in results {
+        t.row(vec![
+            name.into(),
+            f1(run.p90_ms),
+            f1(run.mean_w),
+            f1(run.throughput),
+        ]);
     }
     println!("{t}");
     println!(

@@ -7,7 +7,7 @@
 //! individual apps' draws, so power moves proportionally with resident
 //! time.
 
-use pap_bench::sweep::{Sweep, Threads};
+use pap_bench::sweep::{self, Threads};
 use pap_bench::{f1, f3, Table};
 use pap_simcpu::freq::KiloHertz;
 use pap_simcpu::platform::PlatformSpec;
@@ -40,28 +40,15 @@ fn main() {
         ],
     );
 
-    // Each cell simulates one share mix and returns its finished row;
-    // the sweep engine keeps the rows in insertion order.
-    let row = |hd_share: String, ld_share: String, tasks: Vec<ShareTask>| {
-        let platform = platform.clone();
-        move || {
-            let core = TimeSharedCore::new(tasks, period);
-            let sim = core.simulate(&platform.power, f, Seconds(60.0));
-            vec![
-                hd_share,
-                ld_share,
-                f3(sim.average_power.value()),
-                f3(core.time_weighted_power(&platform.power, f).value()),
-            ]
-        }
-    };
-    let mut sweep = Sweep::new();
-    // Solo 100 % runs.
-    sweep.add(row("100".into(), "0".into(), vec![task(&hd, 1.0)]));
-    sweep.add(row("0".into(), "100".into(), vec![task(&ld, 1.0)]));
+    // One cell per share mix: (HD share %, LD share %, the tasks).
+    let mut cells = vec![
+        // Solo 100 % runs.
+        ("100".to_string(), "0".to_string(), vec![task(&hd, 1.0)]),
+        ("0".into(), "100".into(), vec![task(&ld, 1.0)]),
+    ];
     // LD fixed at 50 %, HD swept.
     for hd_pct in [10, 20, 30, 40, 50] {
-        sweep.add(row(
+        cells.push((
             format!("{hd_pct}"),
             "50".into(),
             vec![task(&hd, hd_pct as f64 / 100.0), task(&ld, 0.5)],
@@ -69,13 +56,23 @@ fn main() {
     }
     // HD fixed at 50 %, LD swept.
     for ld_pct in [10, 20, 30, 40] {
-        sweep.add(row(
+        cells.push((
             "50".into(),
             format!("{ld_pct}"),
             vec![task(&hd, 0.5), task(&ld, ld_pct as f64 / 100.0)],
         ));
     }
-    for r in sweep.run(Threads::from_env()) {
+    let rows = sweep::run(Threads::from_env(), cells, |(hd_share, ld_share, tasks)| {
+        let core = TimeSharedCore::new(tasks, period);
+        let sim = core.simulate(&platform.power, f, Seconds(60.0));
+        vec![
+            hd_share,
+            ld_share,
+            f3(sim.average_power.value()),
+            f3(core.time_weighted_power(&platform.power, f).value()),
+        ]
+    });
+    for r in rows {
         t.row(r);
     }
     println!("{t}");

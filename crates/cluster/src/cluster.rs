@@ -745,12 +745,6 @@ impl<C: ChipLike> EngineSeam<C> {
         self.intervals_run
     }
 
-    /// Whether a decision-trace observer is attached (lets engines skip
-    /// building roll-ups that only exist for the trace).
-    pub fn has_observer(&self) -> bool {
-        self.observer.is_some()
-    }
-
     /// Account one completed interval: bumps the interval counter and
     /// integrates `total_power` over the control interval into the
     /// energy meter — the exact serial-reference accounting, so the

@@ -812,12 +812,6 @@ impl Daemon {
         self.action_view()
     }
 
-    /// Fallible, allocation-free variant of [`Daemon::step`].
-    pub fn try_step_view(&mut self, sample: &Sample) -> Result<ActionView<'_>, DaemonError> {
-        self.step_compute(sample)?;
-        Ok(self.action_view())
-    }
-
     /// One control interval computed into the scratch buffers.
     fn step_compute(&mut self, sample: &Sample) -> Result<(), DaemonError> {
         self.account_energy(sample);

@@ -12,8 +12,18 @@
 //!   otherwise scale proportionally to utilization;
 //! * `conservative` — like ondemand but moves gracefully in steps;
 //! * `userspace` — hold whatever was programmed.
+//!
+//! [`run_service`] is the §2.2 comparison itself: a bursty single-core
+//! service under one governor, as `ext_governors` and `powerd-sim govcmp`
+//! report it.
 
+use pap_simcpu::chip::Chip;
+use pap_simcpu::error::Result;
 use pap_simcpu::freq::{FreqGrid, KiloHertz};
+use pap_simcpu::platform::PlatformSpec;
+use pap_simcpu::units::Seconds;
+use pap_telemetry::sampler::Sampler;
+use pap_workloads::latency::{ClosedLoopService, DemandShape, ServiceConfig};
 
 /// A cpufreq-style governor.
 ///
@@ -121,6 +131,85 @@ impl Governor {
             }
         }
     }
+}
+
+/// What one [`run_service`] measured after its warm-up.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ServiceRun {
+    /// 90th-percentile request latency in milliseconds.
+    pub p90_ms: f64,
+    /// Mean package power over the governor's samples, in watts.
+    pub mean_w: f64,
+    /// Mean active frequency of the serving core, in MHz.
+    pub mean_mhz: f64,
+    /// Completed requests per second.
+    pub throughput: f64,
+}
+
+/// Run a bursty 40-user closed-loop service on core 0 of `platform`
+/// under `gov`: 1 ms ticks, the governor re-evaluated every 100 ms as
+/// the kernel does, and a 10 s warm-up before the `measured` window the
+/// returned figures cover. `powersave` starts at the grid minimum, every
+/// other governor at the maximum. Deterministic given `seed`.
+pub fn run_service(
+    gov: Governor,
+    platform: &PlatformSpec,
+    seed: u64,
+    measured: Seconds,
+) -> Result<ServiceRun> {
+    let mut chip = Chip::new(platform.clone());
+    let cfg = ServiceConfig {
+        users: 40,
+        mean_think: Seconds(0.4),
+        mean_service_cycles: 18.0e6,
+        demand: DemandShape::Exponential,
+        capacitance: 0.8,
+        seed,
+    };
+    let mut svc = ClosedLoopService::new(cfg, 1);
+    let grid = chip.spec().grid;
+    let mut freq = match gov {
+        Governor::Powersave => grid.min(),
+        _ => grid.max(),
+    };
+    chip.set_requested_freq(0, freq)?;
+
+    let mut sampler = Sampler::new(&chip);
+    let dt = Seconds(0.001);
+    let warmup = 10.0;
+    let (mut power_acc, mut khz_acc, mut samples) = (0.0, 0.0, 0.0);
+    let mut time = 0.0;
+    let mut next_eval = 0.1;
+    let mut stats_reset = false;
+    while time < warmup + measured.value() {
+        let f = chip.effective_freq(0);
+        let loads = svc.advance(dt, &[f]);
+        chip.set_load(0, loads[0])?;
+        chip.tick(dt);
+        time += dt.value();
+        if !stats_reset && time >= warmup {
+            svc.reset_stats();
+            stats_reset = true;
+        }
+        if time + 1e-9 >= next_eval {
+            next_eval += 0.1;
+            if let Some(s) = sampler.sample(&chip) {
+                freq = gov.next_freq(&grid, freq, s.cores[0].rates.c0_residency);
+                chip.set_requested_freq(0, freq)?;
+                if stats_reset {
+                    power_acc += s.package_power.value();
+                    khz_acc += s.cores[0].rates.active_freq.khz() as f64;
+                    samples += 1.0;
+                }
+            }
+        }
+    }
+    Ok(ServiceRun {
+        p90_ms: svc.p90_ms(),
+        mean_w: power_acc / samples,
+        mean_mhz: khz_acc / samples / 1000.0,
+        throughput: svc.throughput(),
+    })
 }
 
 #[cfg(test)]

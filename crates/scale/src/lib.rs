@@ -39,5 +39,5 @@ pub use load::{ChurnBatch, ChurnLoad};
 pub mod prelude {
     pub use crate::engine::{run_sharded, ScaleConfig, ScaleStats};
     pub use crate::load::{ChurnBatch, ChurnLoad};
-    pub use crate::sweep::{Sweep, Threads};
+    pub use crate::sweep::Threads;
 }

@@ -95,54 +95,6 @@ where
         .collect()
 }
 
-/// A sweep of heterogeneous experiment cells.
-///
-/// Where [`run`] maps one closure over uniform inputs, `Sweep` collects
-/// arbitrary `FnOnce` experiments — different policies, platforms, or
-/// entirely different harnesses per cell — and runs them concurrently
-/// with input-ordered collection:
-///
-/// ```
-/// use pap_scale::sweep::{Sweep, Threads};
-/// let mut sweep = Sweep::new();
-/// for limit in [85.0_f64, 50.0, 40.0] {
-///     sweep.add(move || limit * 2.0);
-/// }
-/// assert_eq!(sweep.run(Threads::Auto), vec![170.0, 100.0, 80.0]);
-/// ```
-#[derive(Default)]
-pub struct Sweep<'a, R> {
-    cells: Vec<Box<dyn FnOnce() -> R + Send + 'a>>,
-}
-
-impl<'a, R: Send> Sweep<'a, R> {
-    /// An empty sweep.
-    pub fn new() -> Sweep<'a, R> {
-        Sweep { cells: Vec::new() }
-    }
-
-    /// Append one experiment cell. Cells must be independent: the engine
-    /// may run them on any worker in any order.
-    pub fn add<F: FnOnce() -> R + Send + 'a>(&mut self, f: F) {
-        self.cells.push(Box::new(f));
-    }
-
-    /// Number of cells queued.
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// Whether any cells are queued.
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
-    /// Run all cells and return their results in insertion order.
-    pub fn run(self, mode: Threads) -> Vec<R> {
-        run(mode, self.cells, |f| f())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,20 +140,5 @@ mod tests {
             parallel.iter().map(|f| f.to_bits()).collect::<Vec<u64>>(),
             "sweep engine must be bit-transparent"
         );
-    }
-
-    #[test]
-    fn heterogeneous_sweep_in_order() {
-        let mut sweep = Sweep::new();
-        sweep.add(|| "alpha".to_string());
-        for i in 0..5 {
-            sweep.add(move || format!("cell-{i}"));
-        }
-        assert_eq!(sweep.len(), 6);
-        let out = sweep.run(Threads::Fixed(4));
-        assert_eq!(out[0], "alpha");
-        for (i, v) in out[1..].iter().enumerate() {
-            assert_eq!(v, &format!("cell-{i}"));
-        }
     }
 }

@@ -7,7 +7,7 @@
 //! with:
 //!
 //! * per-core DVFS with platform-specific frequency grids and
-//!   voltage/frequency curves ([`freq`], [`volt`], [`pstate`]);
+//!   voltage/frequency curves ([`freq`], [`volt`]);
 //! * the CMOS power law `P = C_eff · V² · f` with per-workload effective
 //!   capacitance, leakage, idle floors and uncore power ([`power`]);
 //! * opportunistic scaling (TurboBoost / XFR) and AVX frequency caps
@@ -15,8 +15,9 @@
 //! * C-state idling ([`cstate`]);
 //! * RAPL energy counters and the policy-free RAPL limit controller that
 //!   throttles the fastest cores first ([`rapl`]);
-//! * Ryzen's three shared, redefinable P-state slots ([`pstate`],
-//!   enforced by [`chip::Chip`]);
+//! * Ryzen's three shared, redefinable P-state slots
+//!   ([`platform::PlatformSpec::shared_pstate_slots`], enforced by
+//!   [`chip::Chip`]);
 //! * MSR- and sysfs-shaped access paths so control software written
 //!   against this simulator ports to real hardware ([`msr`], [`sysfs`]);
 //! * single-core proportional time sharing ([`timeshare`]).
@@ -51,7 +52,6 @@ pub mod idle;
 pub mod msr;
 pub mod platform;
 pub mod power;
-pub mod pstate;
 pub mod rapl;
 pub mod sysfs;
 pub mod thermal;

@@ -17,15 +17,6 @@ use crate::units::{repeat_add, Joules, Seconds, Watts};
 /// the default RAPL energy status unit on Intel parts.
 pub const ENERGY_UNIT: Joules = Joules(1.0 / 16384.0);
 
-/// A RAPL power domain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PowerDomain {
-    /// Whole package: cores + uncore.
-    Package,
-    /// Core (PP0) domain: sum of core power only.
-    Cores,
-}
-
 /// A wrapping 32-bit energy counter in [`ENERGY_UNIT`] units, as exposed by
 /// the `MSR_*_ENERGY_STATUS` registers. Readers must handle wraparound
 /// (≈ 262 kJ, under an hour at package TDP).

@@ -10,13 +10,13 @@
 //! * [`health`] — per-sensor health tracking with hysteresis;
 //! * [`sampler`] — the stateful 1 Hz sampler;
 //! * [`trace`] — time-series recording and CSV export;
-//! * [`stats`] — means, percentiles and the box-plot five-number summary;
-//! * [`rolling`] — online EWMA / sliding-window / Welford estimators;
+//! * [`stats`] — means, percentiles, the box-plot five-number summary
+//!   and the Jain fairness index;
 //! * [`histogram`] — log-bucketed latency histograms;
 //! * [`metrics`] — lock-free counters/histograms with Prometheus-style
 //!   exposition for the control plane;
-//! * [`slo`] — SLO targets, windowed attainment tracking and the Jain
-//!   fairness index for multi-tenant scoring;
+//! * [`slo`] — SLO targets and windowed attainment tracking for
+//!   multi-tenant scoring;
 //! * [`rollup`] — multi-node aggregation for cluster-level arbitration.
 
 #![warn(missing_docs)]
@@ -27,7 +27,6 @@ pub mod energy;
 pub mod health;
 pub mod histogram;
 pub mod metrics;
-pub mod rolling;
 pub mod rollup;
 pub mod sampler;
 pub mod slo;
@@ -43,7 +42,7 @@ pub mod prelude {
     pub use crate::metrics::{AtomicLogHistogram, ControlMetrics, Counter};
     pub use crate::rollup::{ClusterRollup, NodeTelemetry};
     pub use crate::sampler::{CoreSample, Sample, Sampler};
-    pub use crate::slo::{jain_index, SloTarget, SloTracker};
+    pub use crate::slo::{SloTarget, SloTracker};
     pub use crate::stats::BoxStats;
     pub use crate::trace::Trace;
 }

@@ -3,10 +3,10 @@
 //! Multi-tenant scoring (ROADMAP item 3) judges a policy not on raw tail
 //! latency but on *SLO attainment*: the fraction of measurement windows
 //! in which a tenant's measured tail sat at or under its target. This
-//! module holds the target type, the per-tenant attainment tracker, and
-//! the Jain fairness index used to compare attainment across tenants —
-//! all pure bookkeeping so the scenario layer and the SLO controller can
-//! share one definition of "meeting the SLO".
+//! module holds the target type and the per-tenant attainment tracker —
+//! pure bookkeeping so the scenario layer and the SLO controller can
+//! share one definition of "meeting the SLO". Attainment is compared
+//! across tenants with [`crate::stats::jain`].
 
 /// A tail-latency service-level objective: "the `percentile`-th
 /// percentile latency stays at or below `latency_ms`".
@@ -115,28 +115,6 @@ impl SloTracker {
     }
 }
 
-/// Jain's fairness index over non-negative allocations:
-/// `(Σx)² / (n·Σx²)`, 1.0 when perfectly equal, →1/n when one value
-/// dominates. Empty or all-zero inputs read as perfectly fair (there is
-/// nothing to divide unfairly); non-finite entries are ignored.
-pub fn jain_index(values: &[f64]) -> f64 {
-    let mut sum = 0.0;
-    let mut sum_sq = 0.0;
-    let mut n = 0.0;
-    for &v in values {
-        if v.is_finite() && v >= 0.0 {
-            sum += v;
-            sum_sq += v * v;
-            n += 1.0;
-        }
-    }
-    if n == 0.0 || sum_sq == 0.0 {
-        1.0
-    } else {
-        sum * sum / (n * sum_sq)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,18 +149,5 @@ mod tests {
         assert_eq!(tr.windows(), 0);
         assert_eq!(tr.attainment(), 1.0);
         assert!((tr.last_pressure() - 0.9).abs() < 1e-12);
-    }
-
-    #[test]
-    fn jain_bounds() {
-        assert_eq!(jain_index(&[]), 1.0);
-        assert_eq!(jain_index(&[0.0, 0.0]), 1.0);
-        assert!((jain_index(&[3.0, 3.0, 3.0]) - 1.0).abs() < 1e-12);
-        let skew = jain_index(&[10.0, 0.0, 0.0, 0.0]);
-        assert!((skew - 0.25).abs() < 1e-12);
-        // Non-finite entries are ignored, not propagated.
-        assert!((jain_index(&[1.0, f64::NAN, 1.0]) - 1.0).abs() < 1e-12);
-        let mid = jain_index(&[1.0, 2.0, 3.0]);
-        assert!(mid > 0.25 && mid < 1.0);
     }
 }

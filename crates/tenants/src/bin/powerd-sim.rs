@@ -24,7 +24,7 @@
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use pap_simcpu::units::Watts;
+use pap_simcpu::units::{Seconds, Watts};
 use pap_telemetry::metrics::ControlMetrics;
 use pap_tenants::prelude::*;
 use pap_workloads::burn::CPUBURN;
@@ -238,11 +238,7 @@ fn run_scenario(opts: &CliOptions, name: &str) -> Result<(), String> {
 /// emulated cpufreq governor, reported in the same power/frequency/Wh
 /// shape as the real-host sweep.
 fn run_govcmp_sim(opts: &CliOptions) -> Result<(), String> {
-    use pap_simcpu::chip::Chip;
-    use pap_simcpu::units::Seconds;
-    use pap_telemetry::sampler::Sampler;
-    use pap_workloads::latency::{ClosedLoopService, DemandShape, ServiceConfig};
-    use powerd::governor::Governor;
+    use powerd::governor::{run_service, Governor};
 
     let governors = [
         ("performance", Governor::Performance),
@@ -251,7 +247,6 @@ fn run_govcmp_sim(opts: &CliOptions) -> Result<(), String> {
         ("powersave", Governor::Powersave),
     ];
     let platform = opts.platform_spec()?;
-    let warmup = 10.0;
     let measured = opts.duration.value().max(1.0);
 
     let mut t = Table::new(
@@ -259,66 +254,18 @@ fn run_govcmp_sim(opts: &CliOptions) -> Result<(), String> {
         &["governor", "p90_ms", "mean_w", "mean_mhz", "wh", "cost_usd"],
     );
     for (name, gov) in governors {
-        let mut chip = Chip::new(platform.clone());
-        let cfg = ServiceConfig {
-            users: 40,
-            mean_think: Seconds(0.4),
-            mean_service_cycles: 18.0e6,
-            demand: DemandShape::Exponential,
-            capacitance: 0.8,
-            seed: opts.seed.unwrap_or(42),
-        };
-        let mut svc = ClosedLoopService::new(cfg, 1);
-        let grid = chip.spec().grid;
-        let mut freq = match gov {
-            Governor::Powersave => grid.min(),
-            _ => grid.max(),
-        };
-        chip.set_requested_freq(0, freq)
+        let run = run_service(gov, &platform, opts.seed.unwrap_or(42), Seconds(measured))
             .map_err(|e| e.to_string())?;
-
-        let mut sampler = Sampler::new(&chip);
-        let dt = Seconds(0.001);
-        let (mut power_acc, mut khz_acc, mut samples) = (0.0, 0.0, 0.0);
-        let mut time = 0.0;
-        let mut next_eval = 0.1;
-        let mut stats_reset = false;
-        while time < warmup + measured {
-            let f = chip.effective_freq(0);
-            let loads = svc.advance(dt, &[f]);
-            chip.set_load(0, loads[0]).map_err(|e| e.to_string())?;
-            chip.tick(dt);
-            time += dt.value();
-            if !stats_reset && time >= warmup {
-                svc.reset_stats();
-                stats_reset = true;
-            }
-            if time + 1e-9 >= next_eval {
-                next_eval += 0.1;
-                if let Some(s) = sampler.sample(&chip) {
-                    let util = s.cores[0].rates.c0_residency;
-                    freq = gov.next_freq(&grid, freq, util);
-                    chip.set_requested_freq(0, freq)
-                        .map_err(|e| e.to_string())?;
-                    if stats_reset {
-                        power_acc += s.package_power.value();
-                        khz_acc += s.cores[0].rates.active_freq.khz() as f64;
-                        samples += 1.0;
-                    }
-                }
-            }
-        }
-        let mean_w = power_acc / samples;
-        let wh = mean_w * measured / 3600.0;
+        let wh = run.mean_w * measured / 3600.0;
         let cost = opts
             .tariff
             .map(|tr| format!("{:.6}", wh / 1000.0 * tr))
             .unwrap_or_else(|| "-".into());
         t.row(vec![
             name.to_string(),
-            f1(svc.p90_ms()),
-            f3(mean_w),
-            f1(khz_acc / samples / 1000.0),
+            f1(run.p90_ms),
+            f3(run.mean_w),
+            f1(run.mean_mhz),
             f3(wh),
             cost,
         ]);

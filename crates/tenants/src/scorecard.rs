@@ -14,7 +14,7 @@
 
 use std::fmt::Write as _;
 
-use pap_telemetry::slo::jain_index;
+use pap_telemetry::stats;
 
 /// One tenant's measured outcome.
 #[derive(Debug, Clone, PartialEq)]
@@ -102,7 +102,7 @@ impl SloScorecard {
 
     /// Jain fairness index over service tenants' attainment.
     ///
-    /// Degenerate runs follow the [`pap_telemetry::stats::jain`]
+    /// Degenerate runs follow the [`stats::jain`]
     /// convention: no service tenants, or every attainment zero (all
     /// SLOs missed equally), report 1.0 — equal, if dismal, treatment.
     pub fn jain(&self) -> f64 {
@@ -112,7 +112,7 @@ impl SloScorecard {
             .filter(|t| !t.batch)
             .map(|t| t.attainment)
             .collect();
-        jain_index(&svc)
+        stats::jain(&svc)
     }
 
     /// Package energy over the measured period in watt-hours.

@@ -13,7 +13,8 @@
 //!   *cycles*, so its service time is `cycles / frequency` — the handle
 //!   through which DVFS policies act on the service;
 //! * requests queue FCFS at a single dispatch queue feeding the serving
-//!   cores; per-request sojourn times are recorded.
+//!   cores; per-request sojourn times are recorded. That server is shared
+//!   with the open-loop model in [`crate::openloop`].
 
 use std::collections::VecDeque;
 
@@ -129,6 +130,153 @@ struct Request {
     arrival: f64,
 }
 
+/// The FCFS server both service models drive: one dispatch queue feeding
+/// the serving cores, the service clock and the measurement window's
+/// latency log. The models differ only in who arrives and what a
+/// completion sets off.
+#[derive(Debug, Clone)]
+pub(crate) struct FcfsServer {
+    now: f64,
+    /// Capacitance a busy serving core presents.
+    capacitance: f64,
+    queue: VecDeque<Request>,
+    in_service: Vec<Option<Request>>,
+    /// Completed-request sojourn times in seconds.
+    latencies: Vec<f64>,
+    completed: u64,
+    /// Start of the current measurement window (for throughput).
+    window_start: f64,
+}
+
+impl FcfsServer {
+    pub(crate) fn new(num_cores: usize, capacitance: f64) -> FcfsServer {
+        assert!(num_cores >= 1, "need at least one serving core");
+        FcfsServer {
+            now: 0.0,
+            capacitance,
+            queue: VecDeque::new(),
+            in_service: vec![None; num_cores],
+            latencies: Vec::new(),
+            completed: 0,
+            window_start: 0.0,
+        }
+    }
+
+    /// The service clock in seconds: the start of the next tick.
+    pub(crate) fn now(&self) -> f64 {
+        self.now
+    }
+
+    pub(crate) fn num_cores(&self) -> usize {
+        self.in_service.len()
+    }
+
+    /// Requests waiting for a core.
+    pub(crate) fn queued(&self) -> usize {
+        self.queue.len()
+    }
+
+    /// Requests waiting for or holding a core.
+    pub(crate) fn in_system(&self) -> usize {
+        self.queue.len() + self.in_service.iter().filter(|s| s.is_some()).count()
+    }
+
+    /// Queue a request of `cycles` demand that arrived at `arrival`.
+    pub(crate) fn enqueue(&mut self, cycles: f64, arrival: f64) {
+        self.queue.push_back(Request {
+            remaining_cycles: cycles,
+            arrival,
+        });
+    }
+
+    /// Serve FCFS for `dt` seconds with `freqs[i]` the effective
+    /// frequency of core `i`: clears `out`, writes the load each core
+    /// presented over the tick into it, calls `on_complete` with each
+    /// finished request's completion time (cores in order), and advances
+    /// the clock.
+    pub(crate) fn serve(
+        &mut self,
+        dt: f64,
+        freqs: &[KiloHertz],
+        out: &mut Vec<LoadDescriptor>,
+        mut on_complete: impl FnMut(f64),
+    ) {
+        assert_eq!(freqs.len(), self.in_service.len(), "one frequency per core");
+        let end = self.now + dt;
+        out.clear();
+        for (core, &f) in self.in_service.iter_mut().zip(freqs) {
+            let hz = f.hz();
+            let mut budget = dt;
+            let mut busy = 0.0;
+            while budget > 1e-12 {
+                let req = match core.take().or_else(|| self.queue.pop_front()) {
+                    Some(r) => r,
+                    None => break,
+                };
+                let need = req.remaining_cycles / hz;
+                if need <= budget {
+                    // Completes within the tick.
+                    let completion = end - (budget - need);
+                    self.latencies.push(completion - req.arrival);
+                    self.completed += 1;
+                    busy += need;
+                    budget -= need;
+                    on_complete(completion);
+                } else {
+                    *core = Some(Request {
+                        remaining_cycles: req.remaining_cycles - hz * budget,
+                        arrival: req.arrival,
+                    });
+                    busy += budget;
+                    budget = 0.0;
+                }
+            }
+            let utilization = (busy / dt).clamp(0.0, 1.0);
+            out.push(if utilization > 0.0 {
+                LoadDescriptor {
+                    capacitance: self.capacitance,
+                    utilization,
+                    avx: false,
+                }
+            } else {
+                LoadDescriptor::IDLE
+            });
+        }
+        self.now = end;
+    }
+
+    pub(crate) fn completed(&self) -> u64 {
+        self.completed
+    }
+
+    pub(crate) fn percentile_ms(&self, p: f64) -> f64 {
+        if self.latencies.is_empty() {
+            return 0.0;
+        }
+        let mut v = self.latencies.clone();
+        v.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        let idx = ((p / 100.0) * (v.len() - 1) as f64).round() as usize;
+        v[idx.min(v.len() - 1)] * 1e3
+    }
+
+    pub(crate) fn throughput(&self) -> f64 {
+        let elapsed = self.now - self.window_start;
+        if elapsed <= 0.0 {
+            0.0
+        } else {
+            self.completed as f64 / elapsed
+        }
+    }
+
+    /// Restart the measurement window; queue state and the clock are
+    /// untouched.
+    pub(crate) fn reset_stats(&mut self) {
+        self.latencies.clear();
+        self.completed = 0;
+        self.window_start = self.now;
+    }
+}
+
 /// The closed-loop service simulator.
 ///
 /// ```
@@ -148,16 +296,9 @@ struct Request {
 pub struct ClosedLoopService {
     config: ServiceConfig,
     rng: StdRng,
-    now: f64,
     /// Think-timer expiry times (seconds), unsorted; scanned each tick.
     thinkers: Vec<f64>,
-    queue: VecDeque<Request>,
-    in_service: Vec<Option<Request>>,
-    /// Completed-request sojourn times in seconds.
-    latencies: Vec<f64>,
-    completed: u64,
-    /// Start of the current measurement window (for throughput).
-    window_start: f64,
+    server: FcfsServer,
     /// Probability that a user whose think timer expires actually submits
     /// (otherwise they think again) — the handle load traces use to
     /// modulate demand without disturbing queue state.
@@ -168,7 +309,7 @@ impl ClosedLoopService {
     /// Create a service with `num_cores` serving cores. Users start with
     /// randomized initial think timers so load ramps in smoothly.
     pub fn new(config: ServiceConfig, num_cores: usize) -> ClosedLoopService {
-        assert!(num_cores >= 1, "need at least one serving core");
+        let server = FcfsServer::new(num_cores, config.capacitance);
         assert!(config.users >= 1, "need at least one user");
         let mut rng = StdRng::seed_from_u64(config.seed);
         let thinkers = (0..config.users)
@@ -177,13 +318,8 @@ impl ClosedLoopService {
         ClosedLoopService {
             config,
             rng,
-            now: 0.0,
             thinkers,
-            queue: VecDeque::new(),
-            in_service: vec![None; num_cores],
-            latencies: Vec::new(),
-            completed: 0,
-            window_start: 0.0,
+            server,
             demand_scale: 1.0,
         }
     }
@@ -198,7 +334,7 @@ impl ClosedLoopService {
 
     /// Number of serving cores.
     pub fn num_cores(&self) -> usize {
-        self.in_service.len()
+        self.server.num_cores()
     }
 
     /// Advance the service by `dt`, with `freqs[i]` the effective
@@ -220,9 +356,9 @@ impl ClosedLoopService {
         freqs: &[KiloHertz],
         out: &mut Vec<LoadDescriptor>,
     ) {
-        assert_eq!(freqs.len(), self.in_service.len(), "one frequency per core");
         let dt = dt.value();
-        let end = self.now + dt;
+        let now = self.server.now();
+        let end = now + dt;
 
         // Users whose think timers expire within this tick submit requests
         // (with probability `demand_scale`; otherwise they think again).
@@ -231,15 +367,11 @@ impl ClosedLoopService {
             if self.thinkers[i] <= end {
                 let expiry = self.thinkers[i];
                 if self.demand_scale >= 1.0 || self.rng.gen_range(0.0..1.0) < self.demand_scale {
-                    let arrival = expiry.max(self.now);
                     let demand = self
                         .config
                         .demand
                         .sample(&mut self.rng, self.config.mean_service_cycles);
-                    self.queue.push_back(Request {
-                        remaining_cycles: demand,
-                        arrival,
-                    });
+                    self.server.enqueue(demand, expiry.max(now));
                     self.thinkers.swap_remove(i);
                 } else {
                     let think = exp_sample(&mut self.rng, self.config.mean_think.value());
@@ -251,73 +383,22 @@ impl ClosedLoopService {
             }
         }
 
-        // Serve.
-        out.clear();
-        for (core, &f) in self.in_service.iter_mut().zip(freqs) {
-            let hz = f.hz();
-            let mut budget = dt;
-            let mut busy = 0.0;
-            while budget > 1e-12 {
-                let req = match core.take().or_else(|| self.queue.pop_front()) {
-                    Some(r) => r,
-                    None => break,
-                };
-                let need = req.remaining_cycles / hz;
-                if need <= budget {
-                    // Completes within the tick.
-                    let completion = end - (budget - need);
-                    self.latencies.push(completion - req.arrival);
-                    self.completed += 1;
-                    busy += need;
-                    budget -= need;
-                    let think = exp_sample(&mut self.rng, self.config.mean_think.value());
-                    self.thinkers.push(completion + think);
-                } else {
-                    *core = Some(Request {
-                        remaining_cycles: req.remaining_cycles - hz * budget,
-                        arrival: req.arrival,
-                    });
-                    busy += budget;
-                    budget = 0.0;
-                }
-            }
-            let utilization = (busy / dt).clamp(0.0, 1.0);
-            out.push(if utilization > 0.0 {
-                LoadDescriptor {
-                    capacitance: self.config.capacitance,
-                    utilization,
-                    avx: false,
-                }
-            } else {
-                LoadDescriptor::IDLE
-            });
-        }
-
-        self.now = end;
+        // Serve; each completed request's user starts thinking again.
+        let mean_think = self.config.mean_think.value();
+        self.server.serve(dt, freqs, out, |completion| {
+            let think = exp_sample(&mut self.rng, mean_think);
+            self.thinkers.push(completion + think);
+        });
     }
 
     /// Number of completed requests.
     pub fn completed(&self) -> u64 {
-        self.completed
-    }
-
-    /// Mean latency in milliseconds over the recorded window.
-    pub fn mean_latency_ms(&self) -> f64 {
-        if self.latencies.is_empty() {
-            return 0.0;
-        }
-        self.latencies.iter().sum::<f64>() / self.latencies.len() as f64 * 1e3
+        self.server.completed()
     }
 
     /// Latency percentile (`p` in 0..100) in milliseconds.
     pub fn percentile_ms(&self, p: f64) -> f64 {
-        if self.latencies.is_empty() {
-            return 0.0;
-        }
-        let mut v = self.latencies.clone();
-        v.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let idx = ((p / 100.0) * (v.len() - 1) as f64).round() as usize;
-        v[idx.min(v.len() - 1)] * 1e3
+        self.server.percentile_ms(p)
     }
 
     /// The paper's headline metric.
@@ -328,27 +409,19 @@ impl ClosedLoopService {
     /// Throughput in requests per second over the current measurement
     /// window.
     pub fn throughput(&self) -> f64 {
-        let elapsed = self.now - self.window_start;
-        if elapsed <= 0.0 {
-            0.0
-        } else {
-            self.completed as f64 / elapsed
-        }
+        self.server.throughput()
     }
 
     /// Discard recorded latencies and restart the measurement window
     /// (e.g. after a warm-up phase). Queue state — and crucially the
     /// service clock, which think timers reference — is untouched.
     pub fn reset_stats(&mut self) {
-        self.latencies.clear();
-        self.completed = 0;
-        self.window_start = self.now;
+        self.server.reset_stats();
     }
 
     /// Invariant check: every user is thinking, queued or in service.
     pub fn user_conservation(&self) -> bool {
-        let in_service = self.in_service.iter().filter(|s| s.is_some()).count();
-        self.thinkers.len() + self.queue.len() + in_service == self.config.users
+        self.thinkers.len() + self.server.in_system() == self.config.users
     }
 }
 
@@ -476,6 +549,44 @@ mod tests {
         }
         assert_eq!(a.completed(), b.completed());
         assert_eq!(a.p90_ms(), b.p90_ms());
+    }
+
+    /// Pins the serve loop bit for bit: a change to queueing order, the
+    /// think-time draw order or the stats window moves these numbers.
+    #[test]
+    fn mixed_frequency_run_is_pinned() {
+        let mut svc = ClosedLoopService::new(ServiceConfig::websearch(), 9);
+        let mut freqs = vec![KiloHertz::ZERO; 9];
+        let mut busy = 0.0;
+        for t in 0..4000u64 {
+            if t == 2000 {
+                svc.reset_stats();
+                svc.set_demand_scale(0.75);
+            }
+            for (c, f) in freqs.iter_mut().enumerate() {
+                *f = KiloHertz::from_mhz(1000 + 200 * ((3 * c as u64 + t / 250) % 11));
+            }
+            let loads = svc.advance(Seconds(0.001), &freqs);
+            busy += loads.iter().map(|l| l.utilization).sum::<f64>();
+        }
+        assert_eq!(
+            (
+                busy.to_bits(),
+                svc.completed(),
+                svc.p90_ms().to_bits(),
+                svc.percentile_ms(50.0).to_bits(),
+                svc.throughput().to_bits(),
+            ),
+            // Busy core-ticks 21479.230; 897 completed, p90 24.790 ms,
+            // p50 6.144 ms, 448.5 req/s.
+            (
+                0x40d4_f9ce_b0c0_67c5,
+                897,
+                0x4038_ca41_0bfc_3fbc,
+                0x4018_9311_8457_fdf0,
+                0x407c_0800_0000_0364,
+            )
+        );
     }
 
     #[test]

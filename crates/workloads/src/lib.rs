@@ -9,10 +9,10 @@
 //!   [`pap_simcpu::chip::Chip`];
 //! * [`latency`] — a closed-loop queueing model of CloudSuite *websearch*;
 //! * [`openloop`] — an open-loop (Poisson-arrival) serving model with a
-//!   bounded queue, for production-shaped multi-tenant traffic;
+//!   bounded queue, for production-shaped multi-tenant traffic; both
+//!   models drive the one FCFS server in [`latency`];
 //! * [`burn`] — the `cpuburn` power virus;
-//! * [`generator`] — Table 3 sets and seeded random mixes;
-//! * [`metrics`] — performance normalization helpers.
+//! * [`generator`] — Table 3 sets and seeded random mixes.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -22,7 +22,6 @@ pub mod engine;
 pub mod gaming;
 pub mod generator;
 pub mod latency;
-pub mod metrics;
 pub mod multithread;
 pub mod openloop;
 pub mod phases;

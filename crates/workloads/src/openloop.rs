@@ -10,9 +10,8 @@
 //! are *dropped* and counted, so overload shows up as shed traffic and a
 //! blown tail instead of a silently throttled client population. This is
 //! the load shape the multi-tenant scenarios (`pap-tenants`) drive
-//! through the daemon.
-
-use std::collections::VecDeque;
+//! through the daemon. Queueing and service run on the closed-loop
+//! model's FCFS server; only the arrival process differs.
 
 use pap_simcpu::freq::KiloHertz;
 use pap_simcpu::power::LoadDescriptor;
@@ -21,7 +20,7 @@ use pap_simcpu::units::Seconds;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::latency::DemandShape;
+use crate::latency::{DemandShape, FcfsServer};
 
 /// Configuration of an open-loop service tenant.
 #[derive(Debug, Clone, PartialEq)]
@@ -56,12 +55,6 @@ impl OpenLoopConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Request {
-    remaining_cycles: f64,
-    arrival: f64,
-}
-
 /// The open-loop service simulator.
 ///
 /// ```
@@ -81,14 +74,9 @@ struct Request {
 pub struct OpenLoopService {
     config: OpenLoopConfig,
     rng: StdRng,
-    now: f64,
-    queue: VecDeque<Request>,
-    in_service: Vec<Option<Request>>,
-    latencies: Vec<f64>,
-    completed: u64,
+    server: FcfsServer,
     offered: u64,
     dropped: u64,
-    window_start: f64,
     /// Multiplier on `peak_rps`; the handle arrival traces use.
     rate_scale: f64,
 }
@@ -96,7 +84,7 @@ pub struct OpenLoopService {
 impl OpenLoopService {
     /// Create a service with `num_cores` serving cores.
     pub fn new(config: OpenLoopConfig, num_cores: usize) -> OpenLoopService {
-        assert!(num_cores >= 1, "need at least one serving core");
+        let server = FcfsServer::new(num_cores, config.capacitance);
         assert!(
             config.peak_rps.is_finite() && config.peak_rps >= 0.0,
             "peak_rps must be finite and non-negative"
@@ -105,14 +93,9 @@ impl OpenLoopService {
         OpenLoopService {
             config,
             rng,
-            now: 0.0,
-            queue: VecDeque::new(),
-            in_service: vec![None; num_cores],
-            latencies: Vec::new(),
-            completed: 0,
+            server,
             offered: 0,
             dropped: 0,
-            window_start: 0.0,
             rate_scale: 1.0,
         }
     }
@@ -129,7 +112,7 @@ impl OpenLoopService {
 
     /// Number of serving cores.
     pub fn num_cores(&self) -> usize {
-        self.in_service.len()
+        self.server.num_cores()
     }
 
     /// Advance the service by `dt` at the given per-core frequencies.
@@ -150,9 +133,8 @@ impl OpenLoopService {
         freqs: &[KiloHertz],
         out: &mut Vec<LoadDescriptor>,
     ) {
-        assert_eq!(freqs.len(), self.in_service.len(), "one frequency per core");
         let dt = dt.value();
-        let end = self.now + dt;
+        let now = self.server.now();
 
         // Poisson arrival count for this tick (Knuth's product-of-
         // uniforms; λ = rate·dt is small at millisecond ticks, so the
@@ -177,66 +159,24 @@ impl OpenLoopService {
         // it keeps the RNG draw count independent of queue state.
         for i in 0..n {
             self.offered += 1;
-            if self.queue.len() >= self.config.queue_cap {
+            if self.server.queued() >= self.config.queue_cap {
                 self.dropped += 1;
                 continue;
             }
-            let arrival = self.now + dt * (i as f64 + 0.5) / n as f64;
+            let arrival = now + dt * (i as f64 + 0.5) / n as f64;
             let demand = self
                 .config
                 .demand
                 .sample(&mut self.rng, self.config.mean_service_cycles);
-            self.queue.push_back(Request {
-                remaining_cycles: demand,
-                arrival,
-            });
+            self.server.enqueue(demand, arrival);
         }
 
-        // Serve FCFS, identically to the closed-loop model.
-        out.clear();
-        for (core, &f) in self.in_service.iter_mut().zip(freqs) {
-            let hz = f.hz();
-            let mut budget = dt;
-            let mut busy = 0.0;
-            while budget > 1e-12 {
-                let req = match core.take().or_else(|| self.queue.pop_front()) {
-                    Some(r) => r,
-                    None => break,
-                };
-                let need = req.remaining_cycles / hz;
-                if need <= budget {
-                    let completion = end - (budget - need);
-                    self.latencies.push(completion - req.arrival);
-                    self.completed += 1;
-                    busy += need;
-                    budget -= need;
-                } else {
-                    *core = Some(Request {
-                        remaining_cycles: req.remaining_cycles - hz * budget,
-                        arrival: req.arrival,
-                    });
-                    busy += budget;
-                    budget = 0.0;
-                }
-            }
-            let utilization = (busy / dt).clamp(0.0, 1.0);
-            out.push(if utilization > 0.0 {
-                LoadDescriptor {
-                    capacitance: self.config.capacitance,
-                    utilization,
-                    avx: false,
-                }
-            } else {
-                LoadDescriptor::IDLE
-            });
-        }
-
-        self.now = end;
+        self.server.serve(dt, freqs, out, |_| {});
     }
 
     /// Completed requests in the current measurement window.
     pub fn completed(&self) -> u64 {
-        self.completed
+        self.server.completed()
     }
 
     /// Requests offered (arrived) in the current window, including drops.
@@ -249,21 +189,10 @@ impl OpenLoopService {
         self.dropped
     }
 
-    /// Current queue depth (excluding requests in service).
-    pub fn queue_depth(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Latency percentile (`p` in 0..100) in milliseconds over the
     /// current window; 0 when nothing completed.
     pub fn percentile_ms(&self, p: f64) -> f64 {
-        if self.latencies.is_empty() {
-            return 0.0;
-        }
-        let mut v = self.latencies.clone();
-        v.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let idx = ((p / 100.0) * (v.len() - 1) as f64).round() as usize;
-        v[idx.min(v.len() - 1)] * 1e3
+        self.server.percentile_ms(p)
     }
 
     /// The headline tail metric.
@@ -273,22 +202,15 @@ impl OpenLoopService {
 
     /// Goodput in completed requests per second over the current window.
     pub fn throughput(&self) -> f64 {
-        let elapsed = self.now - self.window_start;
-        if elapsed <= 0.0 {
-            0.0
-        } else {
-            self.completed as f64 / elapsed
-        }
+        self.server.throughput()
     }
 
     /// Discard recorded stats and restart the measurement window; queue
     /// state and the service clock are untouched.
     pub fn reset_stats(&mut self) {
-        self.latencies.clear();
-        self.completed = 0;
+        self.server.reset_stats();
         self.offered = 0;
         self.dropped = 0;
-        self.window_start = self.now;
     }
 }
 
@@ -351,6 +273,53 @@ mod tests {
             assert_eq!(fresh, buf);
         }
         assert_eq!(a.completed(), b.completed());
+    }
+
+    /// Pins the serve loop bit for bit, drops included: a change to
+    /// arrival spreading, queueing order or the stats window moves these
+    /// numbers.
+    #[test]
+    fn mixed_frequency_run_is_pinned() {
+        let cfg = OpenLoopConfig {
+            queue_cap: 200,
+            ..OpenLoopConfig::frontend()
+        };
+        let mut svc = OpenLoopService::new(cfg, 2);
+        let mut freqs = vec![KiloHertz::ZERO; 2];
+        let mut busy = 0.0;
+        for t in 0..4000u64 {
+            if t == 2000 {
+                svc.reset_stats();
+                svc.set_rate_scale(2.5);
+            }
+            for (c, f) in freqs.iter_mut().enumerate() {
+                *f = KiloHertz::from_mhz(800 + 200 * ((5 * c as u64 + t / 250) % 12));
+            }
+            let loads = svc.advance(Seconds(0.001), &freqs);
+            busy += loads.iter().map(|l| l.utilization).sum::<f64>();
+        }
+        assert_eq!(
+            (
+                busy.to_bits(),
+                svc.completed(),
+                svc.offered(),
+                svc.dropped(),
+                svc.p90_ms().to_bits(),
+                svc.percentile_ms(50.0).to_bits(),
+                svc.throughput().to_bits(),
+            ),
+            // Busy core-ticks 7165.746; 909 completed of 2022 offered, 920
+            // dropped; p90 479.017 ms, p50 403.364 ms, 454.5 req/s.
+            (
+                0x40bb_fdbf_0835_1f68,
+                909,
+                2022,
+                920,
+                0x407d_f044_213b_cfb8,
+                0x4079_35d2_d26b_eca8,
+                0x407c_6800_0000_0370,
+            )
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! # per-app-power
 //!
 //! Umbrella crate for the *Per-Application Power Delivery* (EuroSys '19)
-//! reproduction. It re-exports the four member crates under stable paths
+//! reproduction. It re-exports five member crates under stable paths
 //! so applications can depend on a single crate:
 //!
 //! * [`simcpu`] — the multi-core processor power/performance simulator
