@@ -60,10 +60,15 @@ fn main() {
     }
     println!("{t}");
     println!(
-        "Expected: faster cadences track the moving service load more tightly \
-         (lower power variance, less overshoot) and hold the latency tail \
-         better; multi-second cadences let utilization swings carry the \
-         package watts over the limit between corrections — supporting the \
-         paper's call for a hardware implementation."
+        "Reading: both power columns take one sample per control interval, \
+         averaged over that interval, so a longer interval averages away the \
+         sub-second swings they are meant to expose: std_w and \
+         overshoot_frac_% fall as the interval grows for that reason alone \
+         and do not rank cadences. Mean package power is the signal that is \
+         fair across cadences, and it drifts above the 40 W limit as the \
+         interval grows — utilization swings carry the package over the \
+         limit between corrections, which is the paper's case for a faster, \
+         hardware implementation. The p90 tail moves by under 1 ms across \
+         the sweep."
     );
 }

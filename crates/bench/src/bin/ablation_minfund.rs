@@ -18,12 +18,12 @@ use pap_simcpu::chip::Chip;
 use pap_simcpu::freq::KiloHertz;
 use pap_simcpu::platform::PlatformSpec;
 use pap_simcpu::units::{Seconds, Watts};
-use pap_telemetry::sampler::Sampler;
 use pap_workloads::burn::cpuburn;
 use pap_workloads::latency::ServiceConfig;
 use pap_workloads::traces::{LoadTrace, TracedService};
 use powerd::config::{AppSpec, ControllerTuning, DaemonConfig, PolicyKind, Priority};
 use powerd::daemon::Daemon;
+use powerd::hw::{ControlLoop, SimBackend};
 
 const SERVICE_CORES: usize = 9;
 const BURN_CORE: usize = 9;
@@ -38,7 +38,6 @@ struct Outcome {
 
 fn run(incremental: bool, limit: f64) -> Outcome {
     let platform = PlatformSpec::skylake();
-    let mut chip = Chip::new(platform.clone());
     let trace = LoadTrace::Bursty {
         high: 1.0,
         low: 0.25,
@@ -68,22 +67,18 @@ fn run(incremental: bool, limit: f64) -> Outcome {
         ..ControllerTuning::default()
     };
     let mut daemon = Daemon::new(config, &platform).unwrap();
-    let action = daemon.initial();
-    chip.set_all_requested(&action.freqs).unwrap();
-    let mut parked = action.parked.clone();
-
-    let mut sampler = Sampler::new(&chip);
+    let mut backend = SimBackend::new(Chip::new(platform));
+    let mut lp = ControlLoop::start(&mut backend, &mut daemon).unwrap();
     let dt = Seconds(0.001);
     let total = 240.0;
-    let mut t = 0.0;
-    let mut next_control = 1.0;
 
     // per-interval requested-frequency records (post-settling)
     let mut service_req = Vec::new();
     let mut burn_req = Vec::new();
     let mut p90_reset = false;
 
-    while t < total {
+    while lp.elapsed().value() < total {
+        let chip = backend.chip_mut();
         let freqs: Vec<KiloHertz> = (0..SERVICE_CORES).map(|c| chip.effective_freq(c)).collect();
         let loads = service.advance(dt, &freqs);
         for (c, load) in loads.into_iter().enumerate() {
@@ -91,37 +86,25 @@ fn run(incremental: bool, limit: f64) -> Outcome {
             chip.set_load(c, load).unwrap();
             chip.add_instructions(c, instr).unwrap();
         }
-        if !parked[BURN_CORE] {
-            let f = chip.effective_freq(BURN_CORE);
-            let out = burn.advance(dt, f);
-            chip.set_load(BURN_CORE, out.load).unwrap();
-            chip.add_instructions(BURN_CORE, out.instructions).unwrap();
+        if !lp.action().parked[BURN_CORE] {
+            burn.tick_on(chip, BURN_CORE, dt).unwrap();
         }
-        chip.tick(dt);
-        t += dt.value();
-
-        if t + 1e-9 >= next_control {
-            next_control += 1.0;
-            if let Some(sample) = sampler.sample(&chip) {
-                let action = daemon.step(&sample);
-                chip.set_all_requested(&action.freqs).unwrap();
-                for (core, &p) in action.parked.iter().enumerate() {
-                    chip.set_forced_idle(core, p).unwrap();
-                }
-                parked = action.parked.clone();
-                if t > 20.0 {
-                    let s_req: f64 = (0..SERVICE_CORES)
-                        .map(|c| chip.requested_freq(c).mhz() as f64)
-                        .sum::<f64>()
-                        / SERVICE_CORES as f64;
-                    service_req.push(s_req);
-                    burn_req.push(chip.requested_freq(BURN_CORE).mhz() as f64);
-                }
-            }
-            if !p90_reset && t >= total - 60.0 {
-                service.service_mut().reset_stats();
-                p90_reset = true;
-            }
+        if lp.tick(&mut backend, &mut daemon, dt).unwrap().is_none() {
+            continue;
+        }
+        let t = lp.elapsed().value();
+        if t > 20.0 {
+            let chip = backend.chip();
+            let s_req: f64 = (0..SERVICE_CORES)
+                .map(|c| chip.requested_freq(c).mhz() as f64)
+                .sum::<f64>()
+                / SERVICE_CORES as f64;
+            service_req.push(s_req);
+            burn_req.push(chip.requested_freq(BURN_CORE).mhz() as f64);
+        }
+        if !p90_reset && t >= total - 60.0 {
+            service.service_mut().reset_stats();
+            p90_reset = true;
         }
     }
 

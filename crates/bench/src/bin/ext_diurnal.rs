@@ -13,13 +13,13 @@ use pap_simcpu::chip::Chip;
 use pap_simcpu::freq::KiloHertz;
 use pap_simcpu::platform::PlatformSpec;
 use pap_simcpu::units::{Seconds, Watts};
-use pap_telemetry::sampler::Sampler;
 use pap_workloads::engine::RunningApp;
 use pap_workloads::latency::{DemandShape, ServiceConfig};
 use pap_workloads::spec;
 use pap_workloads::traces::{LoadTrace, TracedService};
 use powerd::config::{AppSpec, DaemonConfig, PolicyKind, Priority};
 use powerd::daemon::Daemon;
+use powerd::hw::{ControlLoop, SimBackend};
 
 const SERVICE_CORES: usize = 5;
 const DAY: f64 = 120.0; // compressed day length in simulated seconds
@@ -74,17 +74,9 @@ fn run(policy: PolicyKind, limit: f64) -> (PhaseStats, PhaseStats) {
     }
     let config = DaemonConfig::new(policy, Watts(limit), apps);
     let mut daemon = Daemon::new(config, &platform).unwrap();
-    let action = daemon.initial();
-    chip.set_all_requested(&action.freqs).unwrap();
-    let mut parked = action.parked.clone();
-    for (core, &p) in parked.iter().enumerate() {
-        chip.set_forced_idle(core, p).unwrap();
-    }
-
-    let mut sampler = Sampler::new(&chip);
+    let mut backend = SimBackend::new(chip);
+    let mut lp = ControlLoop::start(&mut backend, &mut daemon).unwrap();
     let dt = Seconds(0.001);
-    let mut t = 0.0;
-    let mut next_control = 1.0;
 
     // accumulate per half-day (peak = sin>0 half, trough = sin<0 half)
     let mut acc = [
@@ -95,7 +87,10 @@ fn run(policy: PolicyKind, limit: f64) -> (PhaseStats, PhaseStats) {
     let total = warmup + 2.0 * DAY;
     let mut p90_marks: [Vec<f64>; 2] = [Vec::new(), Vec::new()];
 
-    while t < total {
+    while lp.elapsed().value() < total {
+        let t = lp.elapsed().value();
+        let parked = &lp.action().parked;
+        let chip = backend.chip_mut();
         let freqs: Vec<KiloHertz> = (0..SERVICE_CORES)
             .map(|c| {
                 if parked[c] {
@@ -120,33 +115,23 @@ fn run(policy: PolicyKind, limit: f64) -> (PhaseStats, PhaseStats) {
             if parked[core] {
                 continue;
             }
-            let f = chip.effective_freq(core);
-            let out = app.advance(dt, f);
-            chip.set_load(core, out.load).unwrap();
-            chip.add_instructions(core, out.instructions).unwrap();
+            let out = app.tick_on(chip, core, dt).unwrap();
             if t >= warmup {
                 acc[phase_idx].1 += out.instructions;
             }
         }
-        chip.tick(dt);
+        // `package_power` is the last tick's cached value; programming an
+        // action at a control boundary leaves it as is.
+        let stepped = lp.tick(&mut backend, &mut daemon, dt).unwrap().is_some();
         if t >= warmup {
-            acc[phase_idx].2 += chip.package_power().value() * dt.value();
+            acc[phase_idx].2 += backend.chip().package_power().value() * dt.value();
             acc[phase_idx].3 += 1;
         }
-        t += dt.value();
 
-        if t + 1e-9 >= next_control {
-            next_control += 1.0;
-            if let Some(sample) = sampler.sample(&chip) {
-                let action = daemon.step(&sample);
-                chip.set_all_requested(&action.freqs).unwrap();
-                for (core, &p) in action.parked.iter().enumerate() {
-                    chip.set_forced_idle(core, p).unwrap();
-                }
-                parked = action.parked.clone();
-            }
+        if stepped {
             // sample the service tail once per second into the phase
             // bucket, then restart the window
+            let t = lp.elapsed().value();
             if t >= warmup {
                 if service.service().completed() > 30 {
                     p90_marks[phase_idx].push(service.service().p90_ms());

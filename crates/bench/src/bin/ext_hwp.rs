@@ -37,11 +37,7 @@ fn probe_app(profile: WorkloadProfile) -> (f64, f64, f64) {
     let mut settled_intervals = 0;
     let mut ips = 0.0;
     while settled_intervals < 8 && t < 120.0 {
-        let f = chip.effective_freq(0);
-        let out = app.advance(dt, f);
-        chip.set_load(0, out.load).unwrap();
-        chip.add_instructions(0, out.instructions).unwrap();
-        instr_at_interval += out.instructions;
+        instr_at_interval += app.tick_on(&mut chip, 0, dt).unwrap().instructions;
         chip.tick(dt);
         t += dt.value();
         if t + 1e-9 >= next {
@@ -74,10 +70,7 @@ fn flat_out(profile: WorkloadProfile) -> (f64, f64, f64) {
     let dt = Seconds(0.002);
     let mut instr = 0u64;
     for _ in 0..10_000 {
-        let f = chip.effective_freq(0);
-        let out = app.advance(dt, f);
-        chip.set_load(0, out.load).unwrap();
-        instr += out.instructions;
+        instr += app.tick_on(&mut chip, 0, dt).unwrap().instructions;
         chip.tick(dt);
     }
     (

@@ -32,12 +32,12 @@ use pap_simcpu::chip::Chip;
 use pap_simcpu::freq::KiloHertz;
 use pap_simcpu::platform::PlatformSpec;
 use pap_simcpu::units::{Seconds, Watts};
-use pap_telemetry::sampler::Sampler;
 use pap_workloads::engine::RunningApp;
 use pap_workloads::phases::PhasedProfile;
 use pap_workloads::spec;
 use powerd::config::{AppSpec, DaemonConfig, PolicyKind, Priority, TranslationKind};
 use powerd::daemon::Daemon;
+use powerd::hw::{ControlLoop, SimBackend};
 use powerd::prelude::{ModelConfig, ModelSnapshot};
 use powerd::runner::standalone_freq;
 
@@ -123,7 +123,6 @@ fn run(kind: TranslationKind, never_confident: bool, seed: u64) -> Outcome {
     let mut config = DaemonConfig::new(PolicyKind::FrequencyShares, Watts(SCHEDULE[0].1), apps);
     config.translation = kind;
 
-    let mut chip = Chip::new(platform.clone());
     let mut daemon = Daemon::new(config, &platform).expect("valid config");
     if never_confident {
         daemon.set_model_config(ModelConfig::never_confident());
@@ -139,23 +138,16 @@ fn run(kind: TranslationKind, never_confident: bool, seed: u64) -> Outcome {
         })
         .collect();
 
-    let action = daemon.initial();
-    chip.set_all_requested(&action.freqs).expect("valid freqs");
-    for (core, &p) in action.parked.iter().enumerate() {
-        chip.set_forced_idle(core, p).expect("core in range");
-    }
-    let mut parked = action.parked.clone();
-
-    let mut sampler = Sampler::new(&chip);
+    let mut backend = SimBackend::new(Chip::new(platform));
+    let mut lp = ControlLoop::start(&mut backend, &mut daemon).expect("valid freqs");
     let mut retargets: Vec<Retarget> = schedule();
     retargets.sort_by(|a, b| a.at.total_cmp(&b.at));
     let mut next_retarget = 0;
 
     let mut freqs_log = Vec::new();
     let mut power_log = Vec::new();
-    let mut t = 0.0;
-    let mut next_control = 1.0;
-    while t < DURATION.value() {
+    while lp.elapsed() < DURATION {
+        let t = lp.elapsed().value();
         if next_retarget < retargets.len() && t + 1e-9 >= retargets[next_retarget].at {
             daemon
                 .retarget_budget(Watts(retargets[next_retarget].cap))
@@ -163,30 +155,17 @@ fn run(kind: TranslationKind, never_confident: bool, seed: u64) -> Outcome {
             next_retarget += 1;
         }
         for (i, app) in engines.iter_mut().enumerate() {
-            if parked[i] {
-                continue;
+            if !lp.action().parked[i] {
+                app.tick_on(backend.chip_mut(), i, TICK)
+                    .expect("core in range");
             }
-            let f = chip.effective_freq(i);
-            let out = app.advance(TICK, f);
-            chip.set_load(i, out.load).expect("core in range");
-            chip.add_instructions(i, out.instructions)
-                .expect("core in range");
         }
-        chip.tick(TICK);
-        t += TICK.value();
-
-        if t + 1e-9 >= next_control {
-            next_control += 1.0;
-            if let Some(sample) = sampler.sample(&chip) {
-                power_log.push(sample.package_power.value());
-                let action = daemon.step(&sample);
-                chip.set_all_requested(&action.freqs).expect("valid freqs");
-                for (core, &p) in action.parked.iter().enumerate() {
-                    chip.set_forced_idle(core, p).expect("core in range");
-                }
-                parked = action.parked.clone();
-                freqs_log.push(action.freqs.clone());
-            }
+        if let Some(sample) = lp
+            .tick(&mut backend, &mut daemon, TICK)
+            .expect("valid freqs")
+        {
+            power_log.push(sample.package_power.value());
+            freqs_log.push(lp.action().freqs.clone());
         }
     }
 

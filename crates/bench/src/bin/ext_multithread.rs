@@ -14,12 +14,12 @@ use pap_simcpu::chip::Chip;
 use pap_simcpu::freq::KiloHertz;
 use pap_simcpu::platform::PlatformSpec;
 use pap_simcpu::units::{Seconds, Watts};
-use pap_telemetry::sampler::Sampler;
 use pap_workloads::engine::RunningApp;
 use pap_workloads::multithread::MtWorkload;
 use pap_workloads::spec;
 use powerd::config::{AppSpec, DaemonConfig, PolicyKind, Priority};
 use powerd::daemon::Daemon;
+use powerd::hw::{ControlLoop, SimBackend};
 
 const MT_CORES: usize = 5;
 
@@ -33,7 +33,6 @@ struct Outcome {
 
 fn run(policy: PolicyKind) -> Outcome {
     let platform = PlatformSpec::skylake();
-    let mut chip = Chip::new(platform.clone());
     let mut mt = MtWorkload::new(spec::LEELA, 0.3, MT_CORES);
     let mut st: Vec<RunningApp> = (0..5).map(|_| RunningApp::looping(spec::LEELA)).collect();
 
@@ -58,16 +57,9 @@ fn run(policy: PolicyKind) -> Outcome {
     }
     let config = DaemonConfig::new(policy, Watts(42.0), apps);
     let mut daemon = Daemon::new(config, &platform).unwrap();
-    let action = daemon.initial();
-    chip.set_all_requested(&action.freqs).unwrap();
-    for (core, &p) in action.parked.iter().enumerate() {
-        chip.set_forced_idle(core, p).unwrap();
-    }
-
-    let mut sampler = Sampler::new(&chip);
+    let mut backend = SimBackend::new(Chip::new(platform));
+    let mut lp = ControlLoop::start(&mut backend, &mut daemon).unwrap();
     let dt = Seconds(0.002);
-    let mut t = 0.0;
-    let mut next = 1.0;
     let warmup = 15.0;
     let mut st_instr = 0u64;
     let mut mt_useful_at_warmup = 0u64;
@@ -76,7 +68,9 @@ fn run(policy: PolicyKind) -> Outcome {
     let mut st_mhz = 0.0;
     let mut samples = 0.0;
 
-    while t < 75.0 {
+    while lp.elapsed().value() < 75.0 {
+        let measuring = lp.elapsed().value() >= warmup;
+        let chip = backend.chip_mut();
         let freqs: Vec<KiloHertz> = (0..MT_CORES).map(|c| chip.effective_freq(c)).collect();
         let steps = mt.advance(dt, &freqs);
         for (c, s) in steps.iter().enumerate() {
@@ -84,38 +78,27 @@ fn run(policy: PolicyKind) -> Outcome {
             chip.add_instructions(c, s.instructions).unwrap();
         }
         for (i, app) in st.iter_mut().enumerate() {
-            let core = MT_CORES + i;
-            let f = chip.effective_freq(core);
-            let out = app.advance(dt, f);
-            chip.set_load(core, out.load).unwrap();
-            if t >= warmup {
+            let out = app.tick_on(chip, MT_CORES + i, dt).unwrap();
+            if measuring {
                 st_instr += out.instructions;
             }
-            chip.add_instructions(core, out.instructions).unwrap();
         }
-        chip.tick(dt);
-        t += dt.value();
+        let sample = lp.tick(&mut backend, &mut daemon, dt).unwrap();
+        let t = lp.elapsed().value();
         if (t - warmup).abs() < dt.value() / 2.0 {
             mt_useful_at_warmup = mt.useful_retired();
             mt_counter_at_warmup = mt.counter_retired();
         }
-        if t + 1e-9 >= next {
-            next += 1.0;
-            if let Some(sample) = sampler.sample(&chip) {
-                let action = daemon.step(&sample);
-                chip.set_all_requested(&action.freqs).unwrap();
-                if t >= warmup {
-                    mt_mhz += (0..MT_CORES)
-                        .map(|c| sample.cores[c].rates.active_freq.mhz() as f64)
-                        .sum::<f64>()
-                        / MT_CORES as f64;
-                    st_mhz += (MT_CORES..10)
-                        .map(|c| sample.cores[c].rates.active_freq.mhz() as f64)
-                        .sum::<f64>()
-                        / 5.0;
-                    samples += 1.0;
-                }
-            }
+        if let Some(sample) = sample.filter(|_| t >= warmup) {
+            mt_mhz += (0..MT_CORES)
+                .map(|c| sample.cores[c].rates.active_freq.mhz() as f64)
+                .sum::<f64>()
+                / MT_CORES as f64;
+            st_mhz += (MT_CORES..10)
+                .map(|c| sample.cores[c].rates.active_freq.mhz() as f64)
+                .sum::<f64>()
+                / 5.0;
+            samples += 1.0;
         }
     }
     let window = 75.0 - warmup;

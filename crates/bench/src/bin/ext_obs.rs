@@ -121,11 +121,7 @@ fn run(
             if parked[i] {
                 continue;
             }
-            let f = chip.effective_freq(i);
-            let out = app.advance(TICK, f);
-            chip.set_load(i, out.load).expect("core in range");
-            chip.add_instructions(i, out.instructions)
-                .expect("core in range");
+            app.tick_on(&mut chip, i, TICK).expect("core in range");
         }
         chip.tick(TICK);
         t += TICK.value();

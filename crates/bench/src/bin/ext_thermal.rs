@@ -45,10 +45,7 @@ fn run(managed: bool) -> Outcome {
     let mut n = 0.0;
     while t < 600.0 {
         for (c, app) in apps.iter_mut().enumerate() {
-            let f = chip.effective_freq(c);
-            let out = app.advance(dt, f);
-            chip.set_load(c, out.load).unwrap();
-            ips_acc += out.instructions as f64;
+            ips_acc += app.tick_on(&mut chip, c, dt).unwrap().instructions as f64;
         }
         chip.tick(dt);
         zone.advance(chip.package_power(), dt);

@@ -3,8 +3,9 @@
 //! Each binary under `src/bin/` regenerates one table or figure of the
 //! paper (see `DESIGN.md` §4 for the index). The helpers here cover what
 //! the binaries share: fixed-frequency chip runs (for the mechanism
-//! studies of §3 that bypass the daemon), parallel parameter sweeps, and
-//! the common sweep constants.
+//! studies of §3 that bypass the daemon), parallel parameter sweeps, the
+//! common sweep constants, and the synthetic-telemetry scenario matrix
+//! ([`synth`]) that `ext_hotpath` and the golden-replay suites replay.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -13,6 +14,8 @@
 // plane grew out of it); this re-export keeps the historical
 // `pap_bench::sweep` paths working for every binary and external user.
 pub use pap_scale::sweep;
+
+pub mod synth;
 
 use pap_simcpu::chip::Chip;
 use pap_simcpu::freq::KiloHertz;
@@ -78,10 +81,7 @@ pub fn run_fixed(
     while t < total {
         for (core, slot) in apps.iter_mut().enumerate() {
             if let Some(app) = slot {
-                let f = chip.effective_freq(core);
-                let out = app.advance(tick, f);
-                chip.set_load(core, out.load).unwrap();
-                chip.add_instructions(core, out.instructions).unwrap();
+                app.tick_on(&mut chip, core, tick).unwrap();
             }
         }
         chip.tick(tick);

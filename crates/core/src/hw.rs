@@ -2,10 +2,11 @@
 //!
 //! The daemon itself is a pure controller (telemetry in, frequency
 //! targets out); a [`PowerBackend`] is the thing that actually touches
-//! hardware. Two implementations ship:
+//! hardware. Two simulator implementations ship:
 //!
-//! * [`SimBackend`] — direct access to the simulated chip (what the
-//!   experiment runners use);
+//! * [`SimBackend`] — direct access to a simulated chip, generic over
+//!   [`ChipLike`] so the per-core [`Chip`] and the batch-stepped
+//!   `WideChip` plug in alike (what the experiment runners use);
 //! * [`MsrSysfsBackend`] — drives the *same* chip exclusively through
 //!   the emulated MSR bus and cpufreq sysfs tree, i.e. through the exact
 //!   interfaces a real Linux host exposes (`/dev/cpu/*/msr`,
@@ -13,9 +14,15 @@
 //!   works against this backend ports to real hardware by swapping the
 //!   file I/O in.
 //!
-//! [`run_daemon`] is the §5 monitoring loop over any backend.
+//! [`ControlLoop`] is the §5 monitoring loop over any backend: once per
+//! control interval it samples telemetry, steps the daemon and programs
+//! the resulting action. Callers own the tick loop, so they can drive
+//! their workloads (through `RunningApp::tick_on`), retarget the budget
+//! or record what they need between ticks. [`run_daemon`] wraps it for
+//! callers with nothing to do between ticks but drive workloads.
 
 use pap_simcpu::chip::Chip;
+use pap_simcpu::chiplike::ChipLike;
 use pap_simcpu::freq::KiloHertz;
 use pap_simcpu::msr::{addr, MsrBus};
 use pap_simcpu::platform::{PlatformSpec, Vendor};
@@ -43,31 +50,31 @@ pub trait PowerBackend {
     fn advance(&mut self, dt: Seconds);
 }
 
-/// Direct-chip backend.
-pub struct SimBackend {
-    chip: Chip,
+/// Direct-chip backend over any [`ChipLike`] simulator.
+pub struct SimBackend<C: ChipLike = Chip> {
+    chip: C,
     sampler: Sampler,
 }
 
-impl SimBackend {
+impl<C: ChipLike> SimBackend<C> {
     /// Wrap a chip.
-    pub fn new(chip: Chip) -> SimBackend {
+    pub fn new(chip: C) -> SimBackend<C> {
         let sampler = Sampler::new(&chip);
         SimBackend { chip, sampler }
     }
 
     /// Access the chip (e.g. for workload driving).
-    pub fn chip_mut(&mut self) -> &mut Chip {
+    pub fn chip_mut(&mut self) -> &mut C {
         &mut self.chip
     }
 
     /// Read-only chip access.
-    pub fn chip(&self) -> &Chip {
+    pub fn chip(&self) -> &C {
         &self.chip
     }
 }
 
-impl PowerBackend for SimBackend {
+impl<C: ChipLike> PowerBackend for SimBackend<C> {
     fn platform(&self) -> &PlatformSpec {
         self.chip.spec()
     }
@@ -266,9 +273,77 @@ impl PowerBackend for MsrSysfsBackend {
     }
 }
 
+/// The §5 monitoring loop, one tick at a time.
+///
+/// [`start`](ControlLoop::start) programs the daemon's initial action;
+/// each [`tick`](ControlLoop::tick) advances the backend and, at every
+/// control-interval boundary, samples telemetry, steps the daemon and
+/// programs the action it returns. The daemon is passed to every call
+/// rather than owned, so callers may retarget its budget or swap its
+/// translation between ticks.
+#[derive(Debug)]
+pub struct ControlLoop {
+    action: ControlAction,
+    interval: f64,
+    elapsed: f64,
+    next: f64,
+}
+
+impl ControlLoop {
+    /// Program `daemon.initial()` on the backend and start the clock at
+    /// zero. The control interval is read from the daemon's config once.
+    pub fn start<B: PowerBackend>(
+        backend: &mut B,
+        daemon: &mut Daemon,
+    ) -> Result<ControlLoop, String> {
+        let action = daemon.initial();
+        backend.apply(&action)?;
+        let interval = daemon.config().control_interval.value();
+        Ok(ControlLoop {
+            action,
+            interval,
+            elapsed: 0.0,
+            next: interval,
+        })
+    }
+
+    /// Advance the backend by `dt`. At a control-interval boundary, step
+    /// the daemon on a fresh sample, program its action, and return the
+    /// sample it consumed; otherwise return `None`.
+    pub fn tick<B: PowerBackend>(
+        &mut self,
+        backend: &mut B,
+        daemon: &mut Daemon,
+        dt: Seconds,
+    ) -> Result<Option<Sample>, String> {
+        backend.advance(dt);
+        self.elapsed += dt.value();
+        if self.elapsed + 1e-9 < self.next {
+            return Ok(None);
+        }
+        self.next += self.interval;
+        let Some(sample) = backend.sample() else {
+            return Ok(None);
+        };
+        self.action = daemon.step(&sample);
+        backend.apply(&self.action)?;
+        Ok(Some(sample))
+    }
+
+    /// The action currently programmed (its `parked` flags say which
+    /// cores the workloads must leave alone).
+    pub fn action(&self) -> &ControlAction {
+        &self.action
+    }
+
+    /// Simulated time since [`start`](ControlLoop::start).
+    pub fn elapsed(&self) -> Seconds {
+        Seconds(self.elapsed)
+    }
+}
+
 /// Drive a daemon over a backend for `duration`, invoking `drive` each
-/// tick so the caller can advance its workloads. This is the §5
-/// monitoring loop, backend-agnostic.
+/// tick so the caller can advance its workloads.
 pub fn run_daemon<B: PowerBackend>(
     backend: &mut B,
     daemon: &mut Daemon,
@@ -276,22 +351,10 @@ pub fn run_daemon<B: PowerBackend>(
     tick: Seconds,
     mut drive: impl FnMut(&mut B, &ControlAction),
 ) -> Result<(), String> {
-    let mut action = daemon.initial();
-    backend.apply(&action)?;
-    let interval = daemon.config().control_interval.value();
-    let mut t = 0.0;
-    let mut next = interval;
-    while t < duration.value() {
-        drive(backend, &action);
-        backend.advance(tick);
-        t += tick.value();
-        if t + 1e-9 >= next {
-            next += interval;
-            if let Some(sample) = backend.sample() {
-                action = daemon.step(&sample);
-                backend.apply(&action)?;
-            }
-        }
+    let mut lp = ControlLoop::start(backend, daemon)?;
+    while lp.elapsed() < duration {
+        drive(backend, lp.action());
+        lp.tick(backend, daemon, tick)?;
     }
     Ok(())
 }
@@ -320,37 +383,29 @@ mod tests {
         .expect("valid daemon")
     }
 
-    fn drive_two_apps(
-        apps: &mut [RunningApp; 2],
-        chip: &mut Chip,
-        action: &ControlAction,
-        tick: Seconds,
-    ) {
-        for (c, app) in apps.iter_mut().enumerate() {
-            if action.parked[c] {
-                continue;
-            }
-            let f = chip.effective_freq(c);
-            let out = app.advance(tick, f);
-            chip.set_load(c, out.load).unwrap();
-            chip.add_instructions(c, out.instructions).unwrap();
-        }
-    }
-
-    #[test]
-    fn sim_backend_converges() {
-        let platform = PlatformSpec::skylake();
-        let mut backend = SimBackend::new(Chip::new(platform.clone()));
-        let mut d = daemon(&platform, 26.0);
+    /// Run the 26 W two-app daemon for 20 s over `backend`, driving the
+    /// apps on the chip `chip` reaches.
+    fn run_two_apps<B: PowerBackend>(backend: &mut B, chip: fn(&mut B) -> &mut Chip) {
+        let mut d = daemon(&PlatformSpec::skylake(), 26.0);
         let mut apps = [
             RunningApp::looping(spec::CACTUS_BSSN),
             RunningApp::looping(spec::LEELA),
         ];
         let tick = Seconds(0.002);
-        run_daemon(&mut backend, &mut d, Seconds(20.0), tick, |b, action| {
-            drive_two_apps(&mut apps, b.chip_mut(), action, tick);
+        run_daemon(backend, &mut d, Seconds(20.0), tick, |b, action| {
+            for (c, app) in apps.iter_mut().enumerate() {
+                if !action.parked[c] {
+                    app.tick_on(chip(b), c, tick).unwrap();
+                }
+            }
         })
         .unwrap();
+    }
+
+    #[test]
+    fn sim_backend_converges() {
+        let mut backend = SimBackend::new(Chip::new(PlatformSpec::skylake()));
+        run_two_apps(&mut backend, SimBackend::chip_mut);
         let p = backend.chip().package_power().value();
         assert!((p - 26.0).abs() < 3.0, "package {p:.1} vs 26 W");
     }
@@ -359,47 +414,23 @@ mod tests {
     fn msr_sysfs_backend_matches_direct_backend() {
         // The same daemon run through the file/MSR surface must land at
         // the same operating point as direct chip access.
-        let platform = PlatformSpec::skylake();
-        let tick = Seconds(0.002);
-
-        let run = |direct: bool| -> (f64, u64, u64) {
-            let mut d = daemon(&platform, 26.0);
-            let mut apps = [
-                RunningApp::looping(spec::CACTUS_BSSN),
-                RunningApp::looping(spec::LEELA),
-            ];
-            if direct {
-                let mut b = SimBackend::new(Chip::new(platform.clone()));
-                run_daemon(&mut b, &mut d, Seconds(20.0), tick, |b, a| {
-                    drive_two_apps(&mut apps, b.chip_mut(), a, tick)
-                })
-                .unwrap();
-                (
-                    b.chip().package_power().value(),
-                    b.chip().effective_freq(0).khz(),
-                    b.chip().effective_freq(1).khz(),
-                )
-            } else {
-                let mut b = MsrSysfsBackend::new(Chip::new(platform.clone()));
-                run_daemon(&mut b, &mut d, Seconds(20.0), tick, |b, a| {
-                    drive_two_apps(&mut apps, b.chip_mut(), a, tick)
-                })
-                .unwrap();
-                (
-                    b.chip_mut().package_power().value(),
-                    b.chip_mut().effective_freq(0).khz(),
-                    b.chip_mut().effective_freq(1).khz(),
-                )
-            }
-        };
-        let (p_direct, f0_direct, f1_direct) = run(true);
-        let (p_msr, f0_msr, f1_msr) = run(false);
+        let mut direct = SimBackend::new(Chip::new(PlatformSpec::skylake()));
+        run_two_apps(&mut direct, SimBackend::chip_mut);
+        let mut msr = MsrSysfsBackend::new(Chip::new(PlatformSpec::skylake()));
+        run_two_apps(&mut msr, MsrSysfsBackend::chip_mut);
+        let (direct, msr) = (direct.chip(), msr.chip_mut());
+        let (p_direct, p_msr) = (direct.package_power().value(), msr.package_power().value());
         assert!(
             (p_direct - p_msr).abs() < 1.0,
             "package power {p_direct:.1} vs {p_msr:.1}"
         );
-        assert_eq!(f0_direct, f0_msr, "core 0 frequency must match exactly");
-        assert_eq!(f1_direct, f1_msr, "core 1 frequency must match exactly");
+        for c in 0..2 {
+            assert_eq!(
+                direct.effective_freq(c),
+                msr.effective_freq(c),
+                "core {c} frequency must match exactly"
+            );
+        }
     }
 
     #[test]

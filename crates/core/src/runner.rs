@@ -13,7 +13,6 @@ use pap_simcpu::chip::Chip;
 use pap_simcpu::freq::KiloHertz;
 use pap_simcpu::platform::PlatformSpec;
 use pap_simcpu::units::{Seconds, Watts};
-use pap_telemetry::sampler::Sampler;
 use pap_telemetry::trace::Trace;
 use pap_workloads::engine::RunningApp;
 use pap_workloads::latency::{ClosedLoopService, ServiceConfig};
@@ -27,7 +26,8 @@ use std::sync::Arc;
 use pap_telemetry::metrics::ControlMetrics;
 
 use crate::config::{AppSpec, ControllerTuning, DaemonConfig, PolicyKind, Priority};
-use crate::daemon::{ControlAction, Daemon};
+use crate::daemon::Daemon;
+use crate::hw::{ControlLoop, SimBackend};
 use crate::obs::DecisionTrace;
 
 /// The standalone frequency the paper normalizes against: the app running
@@ -265,40 +265,21 @@ impl Experiment {
             })
             .collect();
 
-        let action = daemon.initial();
-        apply(&mut chip, &action);
-        let mut parked = action.parked.clone();
-
-        let mut sampler = Sampler::new(&chip);
+        let mut backend = SimBackend::new(chip);
+        let mut lp = ControlLoop::start(&mut backend, &mut daemon)?;
         let mut trace = Trace::new();
         let interval = daemon.config().control_interval;
-        let total = Seconds(self.duration.value() + self.warmup_samples as f64 * interval.value());
-
-        let mut t = 0.0;
-        let mut next_control = interval.value();
-        while t < total.value() {
+        let total = self.duration.value() + self.warmup_samples as f64 * interval.value();
+        while lp.elapsed().value() < total {
             for (i, app) in apps.iter_mut().enumerate() {
                 let core = self.entries[i].spec.core;
-                if parked[core] {
-                    continue;
+                if !lp.action().parked[core] {
+                    app.tick_on(backend.chip_mut(), core, self.tick)
+                        .map_err(|e| e.to_string())?;
                 }
-                let f = chip.effective_freq(core);
-                let out = app.advance(self.tick, f);
-                chip.set_load(core, out.load).map_err(|e| e.to_string())?;
-                chip.add_instructions(core, out.instructions)
-                    .map_err(|e| e.to_string())?;
             }
-            chip.tick(self.tick);
-            t += self.tick.value();
-
-            if t + 1e-9 >= next_control {
-                next_control += interval.value();
-                if let Some(sample) = sampler.sample(&chip) {
-                    let action = daemon.step(&sample);
-                    apply(&mut chip, &action);
-                    parked = action.parked.clone();
-                    trace.push(sample);
-                }
+            if let Some(sample) = lp.tick(&mut backend, &mut daemon, self.tick)? {
+                trace.push(sample);
             }
         }
 
@@ -334,14 +315,6 @@ impl Experiment {
             model: daemon.model_snapshot(),
             decisions: daemon.take_observer(),
         })
-    }
-}
-
-fn apply(chip: &mut Chip, action: &ControlAction) {
-    chip.set_all_requested(&action.freqs)
-        .expect("daemon emits grid/slot-valid frequencies");
-    for (core, &p) in action.parked.iter().enumerate() {
-        chip.set_forced_idle(core, p).expect("core in range");
     }
 }
 
@@ -487,19 +460,15 @@ impl LatencyExperiment {
         let mut burn = self.colocated.map(RunningApp::looping);
         let burn_core = self.platform.num_cores - 1;
 
-        let action = daemon.initial();
-        apply(&mut chip, &action);
-        let mut parked = action.parked.clone();
-
-        let mut sampler = Sampler::new(&chip);
+        let mut backend = SimBackend::new(chip);
+        let mut lp = ControlLoop::start(&mut backend, &mut daemon)?;
         let mut trace = Trace::new();
-        let interval = daemon.config().control_interval.value();
         let total = self.warmup.value() + self.duration.value();
-        let mut t = 0.0;
-        let mut next_control = interval;
         let mut stats_reset = false;
 
-        while t < total {
+        while lp.elapsed().value() < total {
+            let parked = &lp.action().parked;
+            let chip = backend.chip_mut();
             // Service cores: only unparked cores serve.
             let freqs: Vec<KiloHertz> = (0..n)
                 .map(|c| {
@@ -523,31 +492,17 @@ impl LatencyExperiment {
             }
             if let Some(b) = burn.as_mut() {
                 if !parked[burn_core] {
-                    let f = chip.effective_freq(burn_core);
-                    let out = b.advance(self.tick, f);
-                    chip.set_load(burn_core, out.load)
-                        .map_err(|e| e.to_string())?;
-                    chip.add_instructions(burn_core, out.instructions)
+                    b.tick_on(chip, burn_core, self.tick)
                         .map_err(|e| e.to_string())?;
                 }
             }
-            chip.tick(self.tick);
-            t += self.tick.value();
-
-            if !stats_reset && t >= self.warmup.value() {
+            let sample = lp.tick(&mut backend, &mut daemon, self.tick)?;
+            if !stats_reset && lp.elapsed() >= self.warmup {
                 service.reset_stats();
                 stats_reset = true;
             }
-            if t + 1e-9 >= next_control {
-                next_control += interval;
-                if let Some(sample) = sampler.sample(&chip) {
-                    let action = daemon.step(&sample);
-                    apply(&mut chip, &action);
-                    parked = action.parked.clone();
-                    if stats_reset {
-                        trace.push(sample);
-                    }
-                }
+            if let Some(sample) = sample.filter(|_| stats_reset) {
+                trace.push(sample);
             }
         }
 

@@ -6,7 +6,8 @@
 //! controller observes package power. Time advances only through
 //! [`Chip::tick`], typically at 1–10 ms.
 //!
-//! The workload engine drives the chip with a simple per-tick protocol:
+//! The workload engine drives the chip with a simple per-tick protocol,
+//! implemented once as `pap_workloads::engine::RunningApp::tick_on`:
 //!
 //! ```text
 //! loop {

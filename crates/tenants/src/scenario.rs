@@ -456,11 +456,8 @@ impl Scenario {
                             if parked[c] {
                                 continue;
                             }
-                            let f = chip.effective_freq(c);
-                            let out = apps[i].advance(TICK, f);
-                            chip.set_load(c, out.load).unwrap();
-                            chip.add_instructions(c, out.instructions).unwrap();
-                            activity[ti] += out.load.utilization * f.hz();
+                            let out = apps[i].tick_on(&mut chip, c, TICK).unwrap();
+                            activity[ti] += out.load.utilization * chip.effective_freq(c).hz();
                             if warmed {
                                 rt.instructions += out.instructions;
                             }

@@ -3,9 +3,11 @@
 //! A [`RunningApp`] advances a (possibly phased) workload profile through
 //! simulated time at whatever frequency the chip resolved for its core,
 //! retiring instructions and producing the [`LoadDescriptor`] the power
-//! model consumes. It implements the per-tick protocol documented on
-//! [`pap_simcpu::chip::Chip`].
+//! model consumes. [`RunningApp::tick_on`] is the per-tick protocol
+//! documented on [`pap_simcpu::chip::Chip`].
 
+use pap_simcpu::chiplike::ChipLike;
+use pap_simcpu::error::Result;
 use pap_simcpu::freq::KiloHertz;
 use pap_simcpu::power::LoadDescriptor;
 use pap_simcpu::units::{repeat_add, Seconds};
@@ -168,6 +170,22 @@ impl RunningApp {
             load,
             finished_run: finished,
         }
+    }
+
+    /// Run one tick of the per-tick protocol on `core`: advance by `dt`
+    /// at the frequency the core ran at during the chip's last tick,
+    /// install the resulting load and credit the retired instructions.
+    /// The caller ticks the chip afterwards.
+    pub fn tick_on<C: ChipLike>(
+        &mut self,
+        chip: &mut C,
+        core: usize,
+        dt: Seconds,
+    ) -> Result<StepOutcome> {
+        let out = self.advance(dt, chip.effective_freq(core));
+        chip.set_load(core, out.load)?;
+        chip.add_instructions(core, out.instructions)?;
+        Ok(out)
     }
 
     /// Whether every following `advance(dt, freq)` call is a pure memo

@@ -11,10 +11,7 @@ fn drive(chip: &mut Chip, apps: &mut [(usize, RunningApp)], seconds: f64) {
     let ticks = (seconds / MS.value()) as usize;
     for _ in 0..ticks {
         for (core, app) in apps.iter_mut() {
-            let f = chip.effective_freq(*core);
-            let out = app.advance(MS, f);
-            chip.set_load(*core, out.load).unwrap();
-            chip.add_instructions(*core, out.instructions).unwrap();
+            app.tick_on(chip, *core, MS).unwrap();
         }
         chip.tick(MS);
     }

@@ -3,15 +3,14 @@
 //! mismatches are rejected up front.
 
 use per_app_power::prelude::*;
-use per_app_power::telemetry::sampler::Sampler;
 use per_app_power::workloads::spec;
 use powerd::config::{AppSpec, DaemonConfig};
+use powerd::hw::{ControlLoop, SimBackend};
 
 /// Drive a daemon against a chip for `seconds`, checking every control
 /// action against the platform's constraints. Returns the final package
 /// power.
 fn drive_checked(platform: PlatformSpec, config: DaemonConfig, seconds: f64) -> f64 {
-    let mut chip = Chip::new(platform.clone());
     let mut daemon = Daemon::new(config.clone(), &platform).expect("valid daemon");
     let mut apps: Vec<(usize, RunningApp)> = config
         .apps
@@ -24,47 +23,23 @@ fn drive_checked(platform: PlatformSpec, config: DaemonConfig, seconds: f64) -> 
         })
         .collect();
 
-    let check_apply = |chip: &mut Chip, action: &ControlAction| {
-        // Every frequency must be on the platform grid; Ryzen actions must
-        // fit the shared slots (set_all_requested enforces both).
-        chip.set_all_requested(&action.freqs)
-            .expect("daemon action rejected by hardware");
-        for (core, &p) in action.parked.iter().enumerate() {
-            chip.set_forced_idle(core, p).unwrap();
-        }
-    };
-
-    let action = daemon.initial();
-    check_apply(&mut chip, &action);
-    let mut parked = action.parked.clone();
-    let mut sampler = Sampler::new(&chip);
-
+    // Every frequency must be on the platform grid; Ryzen actions must
+    // fit the shared slots (the backend's set_all_requested enforces
+    // both, and the loop surfaces its error).
+    let mut backend = SimBackend::new(Chip::new(platform));
+    let mut lp = ControlLoop::start(&mut backend, &mut daemon).expect("daemon action rejected");
     let dt = Seconds(0.002);
     let ticks = (seconds / dt.value()) as usize;
-    let mut next_control = 1.0;
-    let mut t = 0.0;
     for _ in 0..ticks {
         for (core, app) in apps.iter_mut() {
-            if parked[*core] {
-                continue;
-            }
-            let f = chip.effective_freq(*core);
-            let out = app.advance(dt, f);
-            chip.set_load(*core, out.load).unwrap();
-            chip.add_instructions(*core, out.instructions).unwrap();
-        }
-        chip.tick(dt);
-        t += dt.value();
-        if t + 1e-9 >= next_control {
-            next_control += 1.0;
-            if let Some(sample) = sampler.sample(&chip) {
-                let action = daemon.step(&sample);
-                check_apply(&mut chip, &action);
-                parked = action.parked.clone();
+            if !lp.action().parked[*core] {
+                app.tick_on(backend.chip_mut(), *core, dt).unwrap();
             }
         }
+        lp.tick(&mut backend, &mut daemon, dt)
+            .expect("daemon action rejected by hardware");
     }
-    chip.package_power().value()
+    backend.chip().package_power().value()
 }
 
 fn apps_for(platform: &PlatformSpec) -> Vec<AppSpec> {
@@ -161,9 +136,7 @@ fn single_app_runs_at_speed_under_generous_limit() {
     }
     let mut app = RunningApp::looping(spec::LEELA);
     for _ in 0..2000 {
-        let f = chip.effective_freq(0);
-        let out = app.advance(Seconds(0.001), f);
-        chip.set_load(0, out.load).unwrap();
+        app.tick_on(&mut chip, 0, Seconds(0.001)).unwrap();
         chip.tick(Seconds(0.001));
     }
     // one active core -> full single-core turbo

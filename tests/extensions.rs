@@ -6,7 +6,7 @@ use per_app_power::prelude::*;
 use per_app_power::simcpu::thermal::{ThermalGovernor, ThermalZone};
 use per_app_power::workloads::spec;
 use powerd::config::Priority as Prio;
-use powerd::governor::Governor;
+use powerd::governor::{run_service, Governor};
 use powerd::hwp::UsefulFreqProbe;
 use powerd::policy::single_core::{plan_shared_core, SharedApp};
 
@@ -15,41 +15,8 @@ use powerd::policy::single_core::{plan_shared_core, SharedApp};
 #[test]
 fn governors_trade_power_for_latency() {
     let run = |gov: Governor| -> (f64, f64) {
-        let mut chip = Chip::new(PlatformSpec::skylake());
-        let cfg = ServiceConfig {
-            users: 40,
-            mean_think: Seconds(0.4),
-            mean_service_cycles: 18.0e6,
-            demand: per_app_power::workloads::latency::DemandShape::Exponential,
-            capacitance: 0.8,
-            seed: 7,
-        };
-        let mut svc = ClosedLoopService::new(cfg, 1);
-        let grid = chip.spec().grid;
-        let mut freq = grid.max();
-        chip.set_requested_freq(0, freq).unwrap();
-        let mut sampler = per_app_power::telemetry::sampler::Sampler::new(&chip);
-        let mut power = 0.0;
-        let mut n = 0.0;
-        let mut t = 0.0;
-        let mut next = 0.1;
-        while t < 40.0 {
-            let f = chip.effective_freq(0);
-            let loads = svc.advance(Seconds(0.001), &[f]);
-            chip.set_load(0, loads[0]).unwrap();
-            chip.tick(Seconds(0.001));
-            t += 0.001;
-            if t + 1e-9 >= next {
-                next += 0.1;
-                if let Some(s) = sampler.sample(&chip) {
-                    freq = gov.next_freq(&grid, freq, s.cores[0].rates.c0_residency);
-                    chip.set_requested_freq(0, freq).unwrap();
-                    power += s.package_power.value();
-                    n += 1.0;
-                }
-            }
-        }
-        (svc.p90_ms(), power / n)
+        let r = run_service(gov, &PlatformSpec::skylake(), 7, Seconds(30.0)).unwrap();
+        (r.p90_ms, r.mean_w)
     };
     let (p90_perf, w_perf) = run(Governor::Performance);
     let (p90_ond, w_ond) = run(Governor::ondemand());
@@ -88,10 +55,7 @@ fn thermal_loop_regulates_chip() {
         let mut peak = 0.0f64;
         while t < 300.0 {
             for (c, app) in apps.iter_mut().enumerate() {
-                let f = chip.effective_freq(c);
-                let out = app.advance(dt, f);
-                chip.set_load(c, out.load).unwrap();
-                instr += out.instructions;
+                instr += app.tick_on(&mut chip, c, dt).unwrap().instructions;
             }
             chip.tick(dt);
             zone.advance(chip.package_power(), dt);
@@ -139,9 +103,7 @@ fn hwp_probe_finds_avx_cap_on_chip() {
     let mut instr = 0u64;
     while t < 40.0 && !probe.settled() {
         for (c, app) in apps.iter_mut().enumerate() {
-            let f = chip.effective_freq(c);
-            let out = app.advance(dt, f);
-            chip.set_load(c, out.load).unwrap();
+            let out = app.tick_on(&mut chip, c, dt).unwrap();
             if c == 0 {
                 instr += out.instructions;
             }

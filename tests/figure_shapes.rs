@@ -30,10 +30,7 @@ fn run_fixed_freq(
     let ticks = (seconds / MS.value()) as usize;
     for _ in 0..ticks {
         for (c, app) in apps.iter_mut() {
-            let f = chip.effective_freq(*c);
-            let out = app.advance(MS, f);
-            chip.set_load(*c, out.load).unwrap();
-            chip.add_instructions(*c, out.instructions).unwrap();
+            app.tick_on(&mut chip, *c, MS).unwrap();
         }
         chip.tick(MS);
     }

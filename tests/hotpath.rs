@@ -18,6 +18,7 @@ use clusterd::admission::{AppRequest, DemandClass};
 use clusterd::node::Node;
 use common::*;
 use pap_alloccount::{AllocCounter, CountingAlloc};
+use pap_bench::synth::*;
 use pap_model::TranslationKind;
 use pap_simcpu::platform::PlatformSpec;
 use pap_simcpu::units::{Seconds, Watts};

@@ -39,9 +39,7 @@ fn sysfs_driven_throttling_loop() {
     };
     let e0 = read_uj(&mut chip);
     for _ in 0..1000 {
-        let f = chip.effective_freq(0);
-        let out = app.advance(Seconds(0.001), f);
-        chip.set_load(0, out.load).unwrap();
+        app.tick_on(&mut chip, 0, Seconds(0.001)).unwrap();
         chip.tick(Seconds(0.001));
     }
     let e1 = read_uj(&mut chip);
@@ -61,9 +59,7 @@ fn sysfs_driven_throttling_loop() {
     }
     let e2 = read_uj(&mut chip);
     for _ in 0..1000 {
-        let f = chip.effective_freq(0);
-        let out = app.advance(Seconds(0.001), f);
-        chip.set_load(0, out.load).unwrap();
+        app.tick_on(&mut chip, 0, Seconds(0.001)).unwrap();
         chip.tick(Seconds(0.001));
     }
     let e3 = read_uj(&mut chip);
@@ -96,9 +92,7 @@ fn msr_driven_rapl_limit() {
     let (mut aperf0, mut mperf0) = (0u64, 0u64);
     for tick in 0..6000 {
         for (c, app) in apps.iter_mut().enumerate() {
-            let f = chip.effective_freq(c);
-            let out = app.advance(Seconds(0.001), f);
-            chip.set_load(c, out.load).unwrap();
+            app.tick_on(&mut chip, c, Seconds(0.001)).unwrap();
         }
         chip.tick(Seconds(0.001));
         if tick == 4999 {

@@ -16,6 +16,7 @@
 mod common;
 
 use common::*;
+use pap_bench::synth::*;
 use pap_model::TranslationKind;
 use pap_simcpu::units::Watts;
 use pap_telemetry::sampler::Sample;

@@ -4,9 +4,9 @@
 //! program, and the chip itself accepts every action.
 
 use per_app_power::prelude::*;
-use per_app_power::telemetry::sampler::Sampler;
 use per_app_power::workloads::spec;
 use powerd::config::{AppSpec, DaemonConfig, PolicyKind, Priority, TranslationKind};
+use powerd::hw::{ControlLoop, SimBackend};
 use proptest::prelude::*;
 
 /// Drive a daemon for `intervals` control intervals, swapping the
@@ -36,32 +36,16 @@ fn drive_with_swaps(
         .collect();
     let config = DaemonConfig::new(policy, limit, apps);
 
-    let mut chip = Chip::new(platform.clone());
     let mut daemon = Daemon::new(config, &platform).expect("valid daemon");
     let mut engines: Vec<RunningApp> = (0..n_apps)
         .map(|core| RunningApp::looping(profiles[core % profiles.len()]))
         .collect();
 
     let (f_min, f_max) = (platform.grid.min(), platform.grid.max());
-    let check_apply = |chip: &mut Chip, action: &ControlAction| {
-        for (core, &f) in action.freqs.iter().enumerate() {
-            assert!(
-                f >= f_min && f <= f_max,
-                "core {core} commanded {f:?} outside the P-state range [{f_min:?}, {f_max:?}]"
-            );
-        }
-        chip.set_all_requested(&action.freqs)
-            .expect("chip rejected a daemon action");
-        for (core, &p) in action.parked.iter().enumerate() {
-            chip.set_forced_idle(core, p).unwrap();
-        }
-    };
-
-    let action = daemon.initial();
-    check_apply(&mut chip, &action);
-    let mut parked = action.parked.clone();
-    let mut sampler = Sampler::new(&chip);
-
+    // The backend programs each action through `set_all_requested`,
+    // which rejects anything the chip cannot run.
+    let mut backend = SimBackend::new(Chip::new(platform));
+    let mut lp = ControlLoop::start(&mut backend, &mut daemon).expect("chip rejected an action");
     let dt = Seconds(0.002);
     let ticks_per_interval = (1.0 / dt.value()) as usize;
     for interval in 0..intervals {
@@ -72,22 +56,28 @@ fn drive_with_swaps(
             };
             daemon.set_translation(next);
         }
+        let mut stepped = false;
         for _ in 0..ticks_per_interval {
             for (core, app) in engines.iter_mut().enumerate() {
-                if parked[core] {
-                    continue;
+                if !lp.action().parked[core] {
+                    app.tick_on(backend.chip_mut(), core, dt).unwrap();
                 }
-                let f = chip.effective_freq(core);
-                let out = app.advance(dt, f);
-                chip.set_load(core, out.load).unwrap();
-                chip.add_instructions(core, out.instructions).unwrap();
             }
-            chip.tick(dt);
+            stepped = lp
+                .tick(&mut backend, &mut daemon, dt)
+                .expect("chip rejected a daemon action")
+                .is_some();
         }
-        let sample = sampler.sample(&chip).expect("one interval elapsed");
-        let action = daemon.step(&sample);
-        check_apply(&mut chip, &action);
-        parked = action.parked.clone();
+        assert!(
+            stepped,
+            "one control interval per {ticks_per_interval} ticks"
+        );
+        for (core, &f) in lp.action().freqs.iter().enumerate() {
+            assert!(
+                f >= f_min && f <= f_max,
+                "core {core} commanded {f:?} outside the P-state range [{f_min:?}, {f_max:?}]"
+            );
+        }
     }
 }
 

@@ -13,8 +13,11 @@
 //! * the resilience ladder and the cluster arbiter emit records too,
 //!   and serial vs parallel cluster execution produces identical ones.
 
+mod common;
+
 use std::sync::Arc;
 
+use common::{drive, four_apps, policy_platforms};
 use pap_simcpu::chip::Chip;
 use pap_simcpu::freq::KiloHertz;
 use pap_simcpu::platform::PlatformSpec;
@@ -22,104 +25,12 @@ use pap_simcpu::units::{Seconds, Watts};
 use pap_telemetry::counters::CoreRates;
 use pap_telemetry::metrics::ControlMetrics;
 use pap_telemetry::sampler::{Sample, Sampler};
-use pap_workloads::engine::RunningApp;
-use pap_workloads::spec;
-use powerd::config::{AppSpec, DaemonConfig, PolicyKind, Priority};
+use powerd::config::{AppSpec, DaemonConfig, PolicyKind};
 use powerd::daemon::{ControlAction, Daemon, DaemonError};
 use powerd::obs::{DecisionEvent, DecisionTrace};
 use powerd::resilience::{
     CoreObservation, DegradationLevel, Observation, ResilienceConfig, ResilientDaemon,
 };
-use powerd::runner::standalone_freq;
-
-/// Every policy kind, with the platform it runs on natively.
-fn policy_platforms() -> Vec<(PolicyKind, PlatformSpec)> {
-    vec![
-        (PolicyKind::RaplNative, PlatformSpec::skylake()),
-        (PolicyKind::Priority, PlatformSpec::skylake()),
-        (PolicyKind::FrequencyShares, PlatformSpec::skylake()),
-        (PolicyKind::PerformanceShares, PlatformSpec::skylake()),
-        (PolicyKind::PowerShares, PlatformSpec::ryzen()),
-    ]
-}
-
-fn four_apps(platform: &PlatformSpec) -> Vec<AppSpec> {
-    let mix = [
-        ("cactusBSSN", spec::CACTUS_BSSN, 70u32),
-        ("lbm", spec::LBM, 50),
-        ("gcc", spec::GCC, 50),
-        ("leela", spec::LEELA, 30),
-    ];
-    mix.iter()
-        .enumerate()
-        .map(|(core, (name, profile, shares))| {
-            AppSpec::new(name.to_string(), core)
-                .with_priority(Priority::High)
-                .with_shares(*shares)
-                .with_baseline_ips(profile.ips(standalone_freq(platform, profile)))
-        })
-        .collect()
-}
-
-/// Drive a daemon against a chip for `seconds`, returning every
-/// commanded action.
-fn drive(daemon: &mut Daemon, platform: &PlatformSpec, seconds: f64) -> Vec<ControlAction> {
-    let mut chip = Chip::new(platform.clone());
-    if daemon.config().policy == PolicyKind::RaplNative {
-        chip.set_rapl_limit(Some(daemon.config().power_limit))
-            .expect("RAPL range");
-    }
-    let mut apps: Vec<(usize, RunningApp)> = daemon
-        .config()
-        .apps
-        .iter()
-        .map(|a| {
-            (
-                a.core,
-                RunningApp::looping(spec::by_name(&a.name).unwrap_or(spec::GCC)),
-            )
-        })
-        .collect();
-
-    let action = daemon.initial();
-    chip.set_all_requested(&action.freqs).expect("valid freqs");
-    for (core, &p) in action.parked.iter().enumerate() {
-        chip.set_forced_idle(core, p).unwrap();
-    }
-    let mut parked = action.parked.clone();
-    let mut sampler = Sampler::new(&chip);
-
-    let dt = Seconds(0.002);
-    let mut actions = Vec::new();
-    let mut next_control = 1.0;
-    let mut t = 0.0;
-    while t < seconds {
-        for (core, app) in apps.iter_mut() {
-            if parked[*core] {
-                continue;
-            }
-            let f = chip.effective_freq(*core);
-            let out = app.advance(dt, f);
-            chip.set_load(*core, out.load).unwrap();
-            chip.add_instructions(*core, out.instructions).unwrap();
-        }
-        chip.tick(dt);
-        t += dt.value();
-        if t + 1e-9 >= next_control {
-            next_control += 1.0;
-            if let Some(sample) = sampler.sample(&chip) {
-                let action = daemon.step(&sample);
-                chip.set_all_requested(&action.freqs).expect("valid freqs");
-                for (core, &p) in action.parked.iter().enumerate() {
-                    chip.set_forced_idle(core, p).unwrap();
-                }
-                parked = action.parked.clone();
-                actions.push(action);
-            }
-        }
-    }
-    actions
-}
 
 /// Truncate a sample's per-core slices (a torn/partial telemetry read).
 fn truncate(sample: &Sample, cores: usize) -> Sample {
@@ -224,7 +135,8 @@ fn resume_from_snaps_off_grid_points_to_the_grid() {
 }
 
 /// Like [`drive`] but without re-running `initial()` (the daemon already
-/// resumed); just advances a fresh chip under the daemon's control.
+/// resumed), so it cannot start a `ControlLoop`; just advances a fresh
+/// chip under the daemon's control.
 fn drive_resumed(daemon: &mut Daemon, platform: &PlatformSpec, seconds: f64) -> Vec<ControlAction> {
     let mut chip = Chip::new(platform.clone());
     let mut sampler = Sampler::new(&chip);

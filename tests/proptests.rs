@@ -1,9 +1,8 @@
 //! Property-based tests over the core data structures and invariants.
 
-mod common;
-
 use proptest::prelude::*;
 
+use pap_bench::synth;
 use pap_faults::chaos_platform;
 use pap_faults::plan::{ChaosProfile, FaultPlan};
 use pap_faults::runner::ChaosExperiment;
@@ -289,7 +288,7 @@ proptest! {
     ) {
         use powerd::config::MemoMode;
         let platform = per_app_power::simcpu::platform::PlatformSpec::skylake();
-        let apps = common::skylake_apps();
+        let apps = synth::skylake_apps();
         let limit = Watts(45.0);
         for (policy, epsilon) in [
             (PolicyKind::FrequencyShares, eps),
@@ -305,7 +304,7 @@ proptest! {
             exact.initial();
             memod.initial();
 
-            let base = common::synth_sample(7, &platform, &apps, limit);
+            let base = synth::synth_sample(7, &platform, &apps, limit);
             // One grid step of slack (outputs snap to the P-state grid)
             // plus a scale term proportional to ε: a replayed action may
             // lag the recomputed one by the controller's response to an
