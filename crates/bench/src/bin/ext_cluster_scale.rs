@@ -14,12 +14,17 @@
 //!
 //! Exits non-zero if (a) the sharded engine diverges from the serial
 //! reference *in any checked bit* at epsilon = 0 (energy to the bit,
-//! caps, per-app reports, final rollup), (b) arbiter throughput at 1024
-//! nodes is below 8x the serial reference, or (c) sharded throughput
-//! scales worse than 0.5x ideal from 64 to 512 nodes. An epsilon > 0
+//! caps, per-app reports, final rollup) in any trial, (b) arbiter
+//! throughput at 1024 nodes is below 8x the serial reference, or (c)
+//! sharded throughput scales worse than 0.5x ideal from 64 to 512
+//! nodes. The 1024-node comparison runs as [`PAIRS`] alternated
+//! serial/sharded pairs that flip which side goes first, and gate (b)
+//! judges the median of the per-pair ratios, so one slow trial on a busy
+//! host cannot fail it; the other sizes run one pair. An epsilon > 0
 //! run at the largest size reports the skip rate the tolerance buys.
 //! Results land in `results/BENCH_cluster_scale.json` for CI, with the
-//! host's available parallelism next to the shard count each size used.
+//! host's available parallelism next to the shard count each size used
+//! and the min, median and max speedup over each size's pairs.
 
 use std::fmt::Write as _;
 use std::process::ExitCode;
@@ -38,6 +43,11 @@ fn f2(v: f64) -> String {
 }
 
 const SIZES: [usize; 4] = [8, 64, 512, 1024];
+/// The size the speedup gate judges.
+const GATED: usize = 1024;
+/// Alternated serial/sharded pairs timed at [`GATED`] nodes (odd, so
+/// the median is one pair's ratio).
+const PAIRS: usize = 5;
 const SEED: u64 = 1009;
 /// Mean/swing of the diurnal population trace (fraction of cluster
 /// cores occupied by tenant apps).
@@ -67,6 +77,14 @@ struct Outcome {
 impl Outcome {
     fn ops_per_sec(&self) -> f64 {
         self.ops as f64 / self.wall_secs
+    }
+
+    fn agrees_with(&self, other: &Outcome) -> bool {
+        self.intervals == other.intervals
+            && self.energy_bits == other.energy_bits
+            && self.caps == other.caps
+            && self.reports == other.reports
+            && self.free_cores == other.free_cores
     }
 }
 
@@ -165,9 +183,62 @@ fn replay(nodes: usize, windows: u64, engine: Engine, turnover: usize) -> Outcom
 
 struct SizeResult {
     nodes: usize,
+    /// Fastest trial of each engine.
     serial: Outcome,
     sharded: Outcome,
+    /// Every trial of both engines agrees with the first serial one.
     identical: bool,
+    /// Serial over sharded wall time of each pair, ascending.
+    speedups: Vec<f64>,
+}
+
+impl SizeResult {
+    /// Median per-pair speedup.
+    fn speedup(&self) -> f64 {
+        self.speedups[self.speedups.len() / 2]
+    }
+}
+
+/// Replay `nodes` through both engines in `pairs` alternated pairs,
+/// flipping which engine runs first each pair.
+fn compare(nodes: usize, windows: u64, pairs: usize) -> SizeResult {
+    // Churn-heavy: every window also replaces `nodes` tenants even when
+    // the diurnal target is flat.
+    let serial = || replay(nodes, windows, Engine::Serial, nodes);
+    let sharded = || replay(nodes, windows, Engine::Sharded { epsilon: 0.0 }, nodes);
+    let (mut serials, mut shardeds) = (Vec::new(), Vec::new());
+    for k in 0..pairs {
+        if k % 2 == 0 {
+            serials.push(serial());
+            shardeds.push(sharded());
+        } else {
+            shardeds.push(sharded());
+            serials.push(serial());
+        }
+    }
+    let identical = serials
+        .iter()
+        .chain(&shardeds)
+        .all(|o| o.agrees_with(&serials[0]));
+    let mut speedups: Vec<f64> = serials
+        .iter()
+        .zip(&shardeds)
+        .map(|(a, b)| a.wall_secs / b.wall_secs)
+        .collect();
+    speedups.sort_by(f64::total_cmp);
+    let fastest = |trials: Vec<Outcome>| {
+        trials
+            .into_iter()
+            .min_by(|a, b| a.wall_secs.total_cmp(&b.wall_secs))
+            .expect("at least one pair")
+    };
+    SizeResult {
+        nodes,
+        serial: fastest(serials),
+        sharded: fastest(shardeds),
+        identical,
+        speedups,
+    }
 }
 
 fn json_report(results: &[SizeResult], windows: u64, eps: f64, eps_run: &Outcome) -> String {
@@ -183,14 +254,18 @@ fn json_report(results: &[SizeResult], windows: u64, eps: f64, eps_run: &Outcome
         let _ = writeln!(
             s,
             "    {{\"nodes\": {}, \"identical\": {}, \"serial_wall_s\": {:.4}, \
-             \"sharded_wall_s\": {:.4}, \"speedup\": {:.2}, \
+             \"sharded_wall_s\": {:.4}, \"pairs\": {}, \"speedup\": {:.2}, \
+             \"speedup_min\": {:.2}, \"speedup_max\": {:.2}, \
              \"serial_ops_per_s\": {:.0}, \"sharded_ops_per_s\": {:.0}, \
              \"shards\": {}, \"delta_updates\": {}, \"delta_skips\": {}}}{}",
             r.nodes,
             r.identical,
             r.serial.wall_secs,
             r.sharded.wall_secs,
-            r.serial.wall_secs / r.sharded.wall_secs,
+            r.speedups.len(),
+            r.speedup(),
+            r.speedups[0],
+            r.speedups[r.speedups.len() - 1],
             r.serial.ops_per_sec(),
             r.sharded.ops_per_sec(),
             st.shards,
@@ -229,24 +304,10 @@ fn main() -> ExitCode {
         }
     }
 
-    let mut results = Vec::new();
-    for nodes in SIZES {
-        // Churn-heavy: every window also replaces `nodes` tenants even
-        // when the diurnal target is flat.
-        let serial = replay(nodes, windows, Engine::Serial, nodes);
-        let sharded = replay(nodes, windows, Engine::Sharded { epsilon: 0.0 }, nodes);
-        let identical = serial.intervals == sharded.intervals
-            && serial.energy_bits == sharded.energy_bits
-            && serial.caps == sharded.caps
-            && serial.reports == sharded.reports
-            && serial.free_cores == sharded.free_cores;
-        results.push(SizeResult {
-            nodes,
-            serial,
-            sharded,
-            identical,
-        });
-    }
+    let results: Vec<SizeResult> = SIZES
+        .into_iter()
+        .map(|nodes| compare(nodes, windows, if nodes == GATED { PAIRS } else { 1 }))
+        .collect();
     // Tolerance run at the largest size, on a quiet fleet (light
     // background churn): what fraction of rows does epsilon skip when
     // most nodes are in steady state?
@@ -281,7 +342,7 @@ fn main() -> ExitCode {
             },
             f2(r.serial.wall_secs),
             f2(r.sharded.wall_secs),
-            f2(r.serial.wall_secs / r.sharded.wall_secs),
+            f2(r.speedup()),
             f1(r.serial.ops_per_sec() / 1e3),
             f1(r.sharded.ops_per_sec() / 1e3),
         ]);
@@ -301,7 +362,7 @@ fn main() -> ExitCode {
     for r in &results {
         if !r.identical {
             failures.push(format!(
-                "{} nodes: sharded engine diverged from the serial reference at epsilon=0",
+                "{} nodes: a trial diverged from the serial reference at epsilon=0",
                 r.nodes
             ));
         }
@@ -312,11 +373,18 @@ fn main() -> ExitCode {
             .find(|r| r.nodes == nodes)
             .expect("size was run")
     };
-    let speedup_1024 = at(1024).serial.wall_secs / at(1024).sharded.wall_secs;
+    let gated = at(GATED);
+    let speedup_1024 = gated.speedup();
+    println!(
+        "speedup at {GATED} nodes over {PAIRS} alternated pairs: min {:.2}x, \
+         median {speedup_1024:.2}x, max {:.2}x",
+        gated.speedups[0],
+        gated.speedups[PAIRS - 1]
+    );
     if speedup_1024 < 8.0 {
         failures.push(format!(
-            "arbiter throughput at 1024 nodes is {speedup_1024:.2}x the serial \
-             reference (gate: >= 8x)"
+            "arbiter throughput at {GATED} nodes is {speedup_1024:.2}x the serial \
+             reference, median of {PAIRS} pairs (gate: >= 8x)"
         ));
     }
     let scaling = at(512).sharded.ops_per_sec() / at(64).sharded.ops_per_sec();
@@ -336,8 +404,8 @@ fn main() -> ExitCode {
 
     if failures.is_empty() {
         println!(
-            "PASS: bit-identical to the serial reference at every size, \
-             {speedup_1024:.1}x arbiter throughput at 1024 nodes, \
+            "PASS: bit-identical to the serial reference in every trial, \
+             {speedup_1024:.1}x arbiter throughput at {GATED} nodes (median), \
              {scaling:.2}x throughput retention from 64 to 512 nodes."
         );
         ExitCode::SUCCESS

@@ -20,7 +20,8 @@
 //! checked bit — energy to the bit, node caps, per-app reports, free
 //! cores — or (b) the fleet stack is below 6x the baseline's end-to-end
 //! throughput. Memo hit rate and steps/sec land in
-//! `results/BENCH_fleet.json` for CI.
+//! `results/BENCH_fleet.json` for CI, with the host's available
+//! parallelism and the shard workers `run_sharded` used.
 
 use std::fmt::Write as _;
 use std::process::ExitCode;
@@ -74,6 +75,8 @@ struct Outcome {
     /// Node control steps executed (nodes x windows).
     steps: u64,
     memo: Option<MemoStats>,
+    /// Most shard workers any `run_sharded` call used.
+    shards: usize,
 }
 
 impl Outcome {
@@ -125,6 +128,7 @@ fn replay<C: ChipLike + Send>(
         epsilon: 0.0,
     };
 
+    let mut shards = 0;
     let started = Instant::now();
     for w in 0..windows {
         let batch = load.next_batch(Seconds(w as f64 * interval.value()));
@@ -137,7 +141,7 @@ fn replay<C: ChipLike + Send>(
             .map(Result::is_ok)
             .collect();
         load.commit(&batch, &admitted);
-        run_sharded(&mut cluster, 1, &scale);
+        shards = shards.max(run_sharded(&mut cluster, 1, &scale).shards);
     }
     let wall_secs = started.elapsed().as_secs_f64();
 
@@ -151,14 +155,18 @@ fn replay<C: ChipLike + Send>(
         free_cores: cluster.free_cores(),
         steps: nodes as u64 * windows,
         memo: cluster.memo_stats(),
+        shards,
     }
 }
 
 fn json_report(outcomes: &[Outcome], windows: u64, speedup: f64) -> String {
+    let parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let shards = outcomes.iter().map(|o| o.shards).max().unwrap_or(0);
     let mut s = String::from("{\n  \"bench\": \"fleet\",\n");
     let _ = writeln!(
         s,
         "  \"nodes\": {NODES},\n  \"windows\": {windows},\n  \"seed\": {SEED},\n  \
+         \"host\": {{\"available_parallelism\": {parallelism}, \"shards\": {shards}}},\n  \
          \"ticks_per_interval\": {TICKS_PER_INTERVAL},\n  \"speedup\": {speedup:.2},\n  \
          \"stacks\": ["
     );

@@ -545,7 +545,8 @@ impl<C: ChipLike> Cluster<C> {
     }
 
     /// Serial reference engine: advance every node one control interval
-    /// (in node order), aggregate telemetry, and rebalance when due.
+    /// (in node order), settle the RAPL averages the interval deferred
+    /// side by side, aggregate telemetry, and rebalance when due.
     /// The sharded engine must produce bit-identical state.
     pub fn run(&mut self, intervals: u64) {
         for _ in 0..intervals {
@@ -554,6 +555,7 @@ impl<C: ChipLike> Cluster<C> {
                 .iter_mut()
                 .map(|n| n.advance_interval())
                 .collect();
+            Node::settle_rapl(&mut self.nodes);
             let rollup = ClusterRollup::new(self.cfg.control_interval, teles);
             self.intervals_run += 1;
             self.energy_j += rollup.total_power().value() * self.cfg.control_interval.value();

@@ -21,6 +21,7 @@ use std::sync::Arc;
 
 use pap_simcpu::chiplike::ChipLike;
 use pap_simcpu::platform::PlatformSpec;
+use pap_simcpu::rapl::settle_all;
 use pap_simcpu::units::{Seconds, Watts};
 use pap_simcpu::widechip::WideChip;
 use pap_telemetry::rollup::NodeTelemetry;
@@ -342,6 +343,16 @@ impl<C: ChipLike> Node<C> {
             self.total_shares(),
         )
         .with_predicted_capacity(self.predicted_capacity())
+    }
+
+    /// Fold the RAPL running averages that steady intervals of `nodes`
+    /// deferred ([`RaplController::observe_steady`]), side by side
+    /// through [`settle_all`]. Bit-identical to letting each chip settle
+    /// lazily on its next read; allocation-free.
+    ///
+    /// [`RaplController::observe_steady`]: pap_simcpu::rapl::RaplController::observe_steady
+    pub fn settle_rapl(nodes: &mut [Node<C>]) {
+        settle_all(nodes.iter_mut().filter_map(|n| n.chip.rapl_mut()));
     }
 }
 

@@ -293,6 +293,7 @@ fn worker<C: ChipLike>(sh: &Shared<'_, '_, C>) {
                         }
                         chunk.tele[k] = Some(node.advance_interval());
                     }
+                    Node::settle_rapl(chunk.nodes);
                 }
                 if sh.done.fetch_add(1, Ordering::AcqRel) + 1 == sh.chunks.len() {
                     seen = commit_epoch(sh);

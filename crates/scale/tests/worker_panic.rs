@@ -17,6 +17,7 @@ use pap_simcpu::error::Result;
 use pap_simcpu::freq::KiloHertz;
 use pap_simcpu::platform::PlatformSpec;
 use pap_simcpu::power::LoadDescriptor;
+use pap_simcpu::rapl::RaplController;
 use pap_simcpu::units::{Seconds, Watts};
 use pap_simcpu::widechip::WideChip;
 use powerd::config::PolicyKind;
@@ -71,6 +72,9 @@ impl ChipLike for PanicOnLoad {
     }
     fn rapl_limit(&self) -> Option<Watts> {
         self.0.rapl_limit()
+    }
+    fn rapl_mut(&mut self) -> Option<&mut RaplController> {
+        self.0.rapl_mut()
     }
     fn counters(&self, core: usize) -> CoreCounters {
         self.0.counters(core)

@@ -243,6 +243,11 @@ impl Chip {
         self.rapl.as_ref().and_then(|r| r.limit())
     }
 
+    /// The RAPL controller, on platforms with RAPL enforcement.
+    pub fn rapl_mut(&mut self) -> Option<&mut RaplController> {
+        self.rapl.as_mut()
+    }
+
     /// Read-only access to a core's state.
     pub fn core(&self, core: usize) -> &SimCore {
         &self.cores[core]

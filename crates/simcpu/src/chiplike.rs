@@ -24,6 +24,7 @@ use crate::error::Result;
 use crate::freq::KiloHertz;
 use crate::platform::PlatformSpec;
 use crate::power::LoadDescriptor;
+use crate::rapl::RaplController;
 use crate::units::{Seconds, Watts};
 use crate::widechip::WideChip;
 
@@ -80,6 +81,10 @@ pub trait ChipLike {
 
     /// The programmed RAPL limit, if any.
     fn rapl_limit(&self) -> Option<Watts>;
+
+    /// The RAPL controller, on platforms with RAPL enforcement (for
+    /// [`crate::rapl::settle_all`] and bit-level reads of its average).
+    fn rapl_mut(&mut self) -> Option<&mut RaplController>;
 
     /// Fixed-counter snapshot for a core.
     fn counters(&self, core: usize) -> CoreCounters;
@@ -166,6 +171,9 @@ macro_rules! forward_chiplike {
             }
             fn rapl_limit(&self) -> Option<Watts> {
                 <$ty>::rapl_limit(self)
+            }
+            fn rapl_mut(&mut self) -> Option<&mut RaplController> {
+                <$ty>::rapl_mut(self)
             }
             fn counters(&self, core: usize) -> CoreCounters {
                 <$ty>::counters(self, core)

@@ -46,8 +46,12 @@
 //!   whole number of ulps further on, so the ticks that stay in the
 //!   binade collapse into one integer add on the bit pattern — the same
 //!   bits the k adds produce, in O(binades crossed) steps;
-//! * the RAPL running average is an EWMA, not a plain add, so it keeps
-//!   its per-tick `observe` loop.
+//! * the RAPL running average is an EWMA, not a plain add: a batch
+//!   hands its `k` steps to [`RaplController::observe_steady`], which
+//!   defers them until the controller is next read, and a caller holding
+//!   many chips folds the deferred runs side by side through
+//!   [`crate::rapl::settle_all`] ([`WideChip::rapl_mut`] is the handle).
+//!   `tick`'s single step still calls the per-tick `observe`.
 //!
 //! Every result is bit-for-bit what `Chip::tick`/`SimCore::integrate`
 //! compute with the *same IEEE-754 operations in the same order*, so a
@@ -424,6 +428,12 @@ impl WideChip {
         self.rapl.as_ref().and_then(|r| r.limit())
     }
 
+    /// The RAPL controller, on platforms with RAPL enforcement: the
+    /// handle [`crate::rapl::settle_all`] folds deferred averages through.
+    pub fn rapl_mut(&mut self) -> Option<&mut RaplController> {
+        self.rapl.as_mut()
+    }
+
     /// Fixed-counter snapshot for a core.
     pub fn counters(&self, core: usize) -> CoreCounters {
         CoreCounters {
@@ -641,12 +651,13 @@ impl WideChip {
     /// The one tick kernel: fold `k` ticks of the cached increments and
     /// totals into the accumulators. u64 counters take one wrapping
     /// `k`-fold add (exact); each f64 accumulator fast-forwards through
-    /// [`repeat_add`], bit-identical to its `k` adds in per-tick order,
-    /// and the RAPL running average takes its `k` per-tick EWMA steps —
-    /// exactly as `k` calls of `Chip::tick` would. Only sound for `k > 1`
-    /// while [`WideChip::steady_tick`] holds — no cache may move and no
-    /// RAPL limit may move the cap mid-batch. Always inlined, so `tick`'s
-    /// `k = 1` is the plain per-tick adds.
+    /// [`repeat_add`], bit-identical to its `k` adds in per-tick order;
+    /// and a `k > 1` batch defers the RAPL running average's `k` EWMA
+    /// steps ([`RaplController::observe_steady`]), which land on the bits
+    /// of `k` calls of `Chip::tick` whenever they are folded. Only sound
+    /// for `k > 1` while [`WideChip::steady_tick`] holds — no cache may
+    /// move and no RAPL limit may move the cap mid-batch. Always inlined,
+    /// so `tick`'s `k = 1` is the plain per-tick adds and one `observe`.
     #[inline(always)]
     fn replay(&mut self, k: usize, dt: Seconds) {
         debug_assert!(k <= 1 || self.steady_tick(dt));
@@ -695,9 +706,12 @@ impl WideChip {
         self.pkg_energy.add_repeated(self.pkg_energy_inc, k);
         let package = self.last_package_power;
         if let Some(r) = self.rapl.as_mut() {
-            // An EWMA, not a plain add: it keeps its per-tick loop.
-            for _ in 0..k {
-                r.observe(package, dt);
+            // An EWMA, not a plain add: a batch defers its k steps to
+            // whoever settles the controller next.
+            match k {
+                0 => {}
+                1 => r.observe(package, dt),
+                _ => r.observe_steady(package, dt, k),
             }
         }
         self.clock.advance_repeated(dt, k);
@@ -744,6 +758,7 @@ mod tests {
     use super::*;
     use crate::chip::Chip;
     use crate::chiplike::ChipLike;
+    use crate::rapl::settle_all;
 
     const MS: Seconds = Seconds(0.001);
 
@@ -948,43 +963,59 @@ mod tests {
         let n = 16;
         let spec = PlatformSpec::wide(n);
         let mut chip = Chip::new(spec.clone());
-        let mut wide = WideChip::new(spec.clone());
+        // The first wide chip leaves each batch's deferred RAPL run to
+        // its next read; the second folds it through `settle_all` after
+        // every batch.
+        let mut wides = [WideChip::new(spec.clone()), WideChip::new(spec.clone())];
         configure_mixed(&mut chip);
-        configure_mixed(&mut wide);
-        let run = |chip: &mut Chip, wide: &mut WideChip, dt: Seconds, stage: &str| {
+        wides.iter_mut().for_each(configure_mixed);
+        let run = |chip: &mut Chip, wides: &mut [WideChip; 2], dt: Seconds, stage: &str| {
             for k in BATCHES {
                 chip.run_ticks(k, dt);
-                wide.run_ticks(k, dt);
-                assert_bit_identical(chip, wide, &format!("{stage}, batch of {k}"));
+                for wide in wides.iter_mut() {
+                    wide.run_ticks(k, dt);
+                }
+                settle_all(wides[1].rapl_mut());
+                for (wide, settle) in wides.iter().zip(["lazily", "by settle_all"]) {
+                    assert_bit_identical(
+                        chip,
+                        wide,
+                        &format!("{stage}, batch of {k}, settled {settle}"),
+                    );
+                }
             }
         };
 
-        run(&mut chip, &mut wide, MS, "first batches");
+        run(&mut chip, &mut wides, MS, "first batches");
         assert!(
-            wide.steady_tick(MS),
+            wides.iter().all(|w| w.steady_tick(MS)),
             "the batches above took the replay path"
         );
 
         // A dt change between batches rebuilds every cache at the new
         // length, and a retarget moves the per-core increments.
-        run(&mut chip, &mut wide, Seconds(0.0025), "after a dt change");
+        run(&mut chip, &mut wides, Seconds(0.0025), "after a dt change");
         for c in (0..n).step_by(3) {
             let f = KiloHertz::from_mhz(2000 + 100 * (c as u64 % 7));
             chip.set_requested_freq(c, f).unwrap();
-            wide.set_requested_freq(c, f).unwrap();
+            for wide in &mut wides {
+                wide.set_requested_freq(c, f).unwrap();
+            }
         }
-        run(&mut chip, &mut wide, MS, "after a retarget");
+        run(&mut chip, &mut wides, MS, "after a retarget");
 
         // A RAPL limit programmed after steady batches: the controller's
         // first decisions act on the running average the batches built,
         // so it is compared through the caps it produces.
-        let limit = Watts(wide.package_power().value() * 0.8);
+        let limit = Watts(chip.package_power().value() * 0.8);
         chip.set_rapl_limit(Some(limit)).unwrap();
-        wide.set_rapl_limit(Some(limit)).unwrap();
-        assert!(!wide.steady_tick(MS), "a RAPL limit disables batching");
-        run(&mut chip, &mut wide, MS, "under a RAPL limit");
+        for wide in &mut wides {
+            wide.set_rapl_limit(Some(limit)).unwrap();
+            assert!(!wide.steady_tick(MS), "a RAPL limit disables batching");
+        }
+        run(&mut chip, &mut wides, MS, "under a RAPL limit");
         assert!(
-            wide.rapl_cap().unwrap() < spec.grid.max(),
+            chip.rapl_cap().unwrap() < spec.grid.max(),
             "the limit must bite for the cap comparison to mean anything"
         );
     }

@@ -162,7 +162,9 @@ fn zero_alloc_steady_state() {
 /// sample live on the node, the daemon acts through `step_view`, and the
 /// park flags are copied in place. The shares and priority nodes settle
 /// into batched replay intervals; the RAPL-native node's hardware limit
-/// keeps every tick on the per-tick path.
+/// keeps every tick on the per-tick path. Folding the RAPL averages the
+/// batched intervals deferred, all nodes side by side, allocates nothing
+/// either.
 #[test]
 fn zero_alloc_settled_node_interval() {
     const WARMUP: usize = 30;
@@ -173,10 +175,12 @@ fn zero_alloc_settled_node_interval() {
         PolicyKind::Priority,
         PolicyKind::RaplNative,
     ];
+    let mut nodes = Vec::new();
+    let mut labels = Vec::new();
     for memo in [MemoMode::exact(), MemoMode::Off] {
         for policy in policies {
             let mut node = Node::new(
-                0,
+                nodes.len(),
                 &PlatformSpec::skylake(),
                 policy,
                 Watts(45.0),
@@ -199,24 +203,40 @@ fn zero_alloc_settled_node_interval() {
                 ))
                 .expect("a free core");
             }
-            for _ in 0..WARMUP {
-                node.advance_interval();
-            }
-            for i in 0..MEASURED {
-                let before = AllocCounter::snapshot();
-                node.advance_interval();
-                let after = AllocCounter::snapshot();
-                assert_eq!(
-                    after.events_since(&before),
-                    0,
-                    "{policy:?}/{memo:?}: interval {} allocated ({} allocs, {} reallocs, \
-                     {} bytes)",
-                    WARMUP + i,
-                    after.allocs - before.allocs,
-                    after.reallocs - before.reallocs,
-                    after.bytes_since(&before),
-                );
-            }
+            nodes.push(node);
+            labels.push(format!("{policy:?}/{memo:?}"));
         }
+    }
+    for _ in 0..WARMUP {
+        for node in &mut nodes {
+            node.advance_interval();
+        }
+        Node::settle_rapl(&mut nodes);
+    }
+    for i in 0..MEASURED {
+        for (node, label) in nodes.iter_mut().zip(&labels) {
+            let before = AllocCounter::snapshot();
+            node.advance_interval();
+            let after = AllocCounter::snapshot();
+            assert_eq!(
+                after.events_since(&before),
+                0,
+                "{label}: interval {} allocated ({} allocs, {} reallocs, {} bytes)",
+                WARMUP + i,
+                after.allocs - before.allocs,
+                after.reallocs - before.reallocs,
+                after.bytes_since(&before),
+            );
+        }
+        let before = AllocCounter::snapshot();
+        Node::settle_rapl(&mut nodes);
+        let after = AllocCounter::snapshot();
+        assert_eq!(
+            after.events_since(&before),
+            0,
+            "settle_rapl after interval {} allocated ({} bytes)",
+            WARMUP + i,
+            after.bytes_since(&before),
+        );
     }
 }
