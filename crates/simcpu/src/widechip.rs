@@ -30,10 +30,21 @@
 //!   `StepScratch`/`*_into` discipline of the control hot path into the
 //!   simulator itself.
 //!
-//! All ticks go through one replay kernel, `replay(k, dt)`: `tick`
-//! rebuilds whatever moved and replays one tick, and
-//! [`WideChip::run_ticks`] ticks until [`WideChip::steady_tick`] holds,
-//! then replays every remaining tick in a single call. The kernel treats
+//! All ticks go through one replay kernel, `replay(k, dt)`. A tick that
+//! [`WideChip::steady_tick`] admits is not replayed at once: `tick` only
+//! counts it as pending, and the pending ticks fold through one replay
+//! the first time anything needs them — the next tick that rebuilds a
+//! cache, the end of a [`WideChip::run_ticks`] batch, or a RAPL access
+//! ([`WideChip::rapl_mut`], [`WideChip::set_rapl_limit`]). Any other
+//! tick settles the pending ones, rebuilds whatever moved and replays
+//! itself; `run_ticks` ticks until `steady_tick` holds, adds the rest to
+//! the pending ticks and settles them in one call. The fold is exact
+//! because `replay` reads only the cached increments and totals, the
+//! last package power and the clock, which no setter writes: setters
+//! only flag inputs dirty or moved, and every rebuild settles first, so
+//! pending ticks always fold with the increments they were taken under.
+//! The `&self` readers (counters, clock, energy, C0 fraction) return
+//! what they would after the fold, computed on copies. The kernel treats
 //! each kind of accumulator differently:
 //!
 //! * the u64 counters (tsc, mperf, aperf) advance by one
@@ -51,17 +62,18 @@
 //!   defers them until the controller is next read, and a caller holding
 //!   many chips folds the deferred runs side by side through
 //!   [`crate::rapl::settle_all`] ([`WideChip::rapl_mut`] is the handle).
-//!   `tick`'s single step still calls the per-tick `observe`.
+//!   A single replayed tick still calls the per-tick `observe`.
 //!
 //! Every result is bit-for-bit what `Chip::tick`/`SimCore::integrate`
 //! compute with the *same IEEE-754 operations in the same order*, so a
 //! `WideChip` and a `Chip` driven identically produce bit-identical
 //! counters, energy and power — enforced by the equivalence tests at the
 //! bottom of this module (batched `run_ticks` included, up to
-//! 100 000-tick batches) and gated in CI by `ext_hotpath` (which also
-//! gates the ≥4× speedup at 1024 cores that justifies the second
-//! implementation, and the ≥10× of a steady 1000-tick batch over
-//! per-tick calls).
+//! 100 000-tick batches, and deferred single ticks interleaved with
+//! every setter) and gated in CI by `ext_hotpath` (which also gates the
+//! ≥4× speedup at 1024 cores that justifies the second implementation,
+//! and that 1000 steady `tick` calls cost at most 2× one 1000-tick
+//! batch).
 
 use std::sync::Arc;
 
@@ -85,6 +97,24 @@ fn cstate_index(s: CState) -> usize {
         CState::C3 => 2,
         CState::C6 => 3,
     }
+}
+
+/// `CStateResidency::record` repeated `k` times on one core's residency
+/// slots: `c0` active seconds and `idle` seconds in slot `idle_idx` per
+/// tick. Idling "in C0" is a second add on the C0 slot. Works on a local
+/// copy of the C0 slot, so at `k = 1` the per-core loop stays in
+/// registers.
+#[inline(always)]
+fn record_repeated(r: &mut [f64; 4], c0: f64, idle: f64, idle_idx: u8, k: usize) {
+    let mut active = r[0];
+    match idle_idx as usize & 3 {
+        0 => active = repeat_add(active, [c0, idle], k),
+        idx => {
+            active = repeat_add(active, [c0], k);
+            r[idx] = repeat_add(r[idx], [idle], k);
+        }
+    }
+    r[0] = active;
 }
 
 /// A batch-stepped multi-core processor with struct-of-arrays core state.
@@ -167,6 +197,9 @@ pub struct WideChip {
     /// (scalar turbo cap, AVX turbo cap, RAPL cap) the caches were
     /// built under; any movement re-resolves every core's frequency.
     last_caps: (KiloHertz, KiloHertz, Option<KiloHertz>),
+    /// Steady ticks of `last_dt` taken but not yet folded into the
+    /// accumulators (see [`WideChip::tick`]).
+    pending: usize,
 }
 
 impl WideChip {
@@ -241,6 +274,7 @@ impl WideChip {
             pkg_energy_inc: Joules::ZERO,
             last_dt: f64::NAN,
             last_caps: (KiloHertz::ZERO, KiloHertz::ZERO, None),
+            pending: 0,
             spec,
         }
     }
@@ -271,9 +305,14 @@ impl WideChip {
         self.spec.num_cores
     }
 
-    /// Current simulated time.
+    /// Current simulated time, pending ticks included.
     pub fn now(&self) -> Seconds {
-        self.clock.now()
+        if self.pending == 0 {
+            return self.clock.now();
+        }
+        let mut clock = self.clock;
+        clock.advance_repeated(Seconds(self.last_dt), self.pending);
+        clock.now()
     }
 
     fn check_core(&self, core: usize) -> Result<()> {
@@ -407,8 +446,11 @@ impl WideChip {
     }
 
     /// Program a RAPL package power limit; errors on platforms without
-    /// RAPL enforcement.
+    /// RAPL enforcement. Settles the pending ticks first: they were
+    /// taken with no limit, and a limit changes what their `observe`
+    /// steps do.
     pub fn set_rapl_limit(&mut self, limit: Option<Watts>) -> Result<()> {
+        self.settle();
         match self.rapl.as_mut() {
             Some(r) => {
                 r.set_limit(limit);
@@ -430,16 +472,21 @@ impl WideChip {
 
     /// The RAPL controller, on platforms with RAPL enforcement: the
     /// handle [`crate::rapl::settle_all`] folds deferred averages through.
+    /// Settles the pending ticks first, so the controller has seen every
+    /// tick taken.
     pub fn rapl_mut(&mut self) -> Option<&mut RaplController> {
+        self.settle();
         self.rapl.as_mut()
     }
 
-    /// Fixed-counter snapshot for a core.
+    /// Fixed-counter snapshot for a core, pending ticks included (one
+    /// `wrapping_mul` per counter, exact for any count).
     pub fn counters(&self, core: usize) -> CoreCounters {
+        let k = self.pending as u64;
         CoreCounters {
-            aperf: self.aperf[core],
-            mperf: self.mperf[core],
-            tsc: self.tsc[core],
+            aperf: self.aperf[core].wrapping_add(self.aperf_inc[core].wrapping_mul(k)),
+            mperf: self.mperf[core].wrapping_add(self.mperf_inc[core].wrapping_mul(k)),
+            tsc: self.tsc[core].wrapping_add(self.tsc_inc.wrapping_mul(k)),
             instructions: self.instructions[core],
         }
     }
@@ -464,36 +511,60 @@ impl WideChip {
         Ok(self.last_power[core])
     }
 
-    /// Per-core accumulated energy (white-box access for the
-    /// equivalence tests; architecturally gated like
+    /// `counter` after the pending ticks' adds of `inc`, on a copy.
+    #[inline]
+    fn folded(&self, mut counter: EnergyCounter, inc: Joules) -> EnergyCounter {
+        if self.pending > 0 {
+            counter.add_repeated(inc, self.pending);
+        }
+        counter
+    }
+
+    /// Per-core accumulated energy, pending ticks included (white-box
+    /// access for the equivalence tests; architecturally gated like
     /// [`WideChip::core_power`] via the raw counter below).
     pub fn core_energy_total(&self, core: usize) -> Joules {
-        self.energy[core].total()
+        self.folded(self.energy[core], self.energy_inc[core])
+            .total()
     }
 
-    /// Raw (wrapping) package energy counter.
+    /// Raw (wrapping) package energy counter, pending ticks included.
     pub fn package_energy_raw(&self) -> u32 {
-        self.pkg_energy.read_raw()
+        self.folded(self.pkg_energy, self.pkg_energy_inc).read_raw()
     }
 
-    /// Raw (wrapping) core-domain energy counter.
+    /// Raw (wrapping) core-domain energy counter, pending ticks included.
     pub fn cores_energy_raw(&self) -> u32 {
-        self.cores_energy.read_raw()
+        self.folded(self.cores_energy, self.cores_energy_inc)
+            .read_raw()
     }
 
-    /// Raw per-core energy counter; errors on platforms without per-core
-    /// power telemetry (same gating as [`crate::chip::Chip::core_energy_raw`]).
+    /// Raw per-core energy counter, pending ticks included; errors on
+    /// platforms without per-core power telemetry (same gating as
+    /// [`crate::chip::Chip::core_energy_raw`]).
     pub fn core_energy_raw(&self, core: usize) -> Result<u32> {
         self.check_core(core)?;
         if !self.spec.per_core_power {
             return Err(SimError::Unsupported("per-core power telemetry"));
         }
-        Ok(self.energy[core].read_raw())
+        Ok(self
+            .folded(self.energy[core], self.energy_inc[core])
+            .read_raw())
     }
 
-    /// Fraction of accounted time core `core` spent active (C0).
+    /// Fraction of accounted time core `core` spent active (C0),
+    /// pending ticks included.
     pub fn c0_fraction(&self, core: usize) -> f64 {
-        let r = &self.residency[core];
+        let mut r = self.residency[core];
+        if self.pending > 0 {
+            record_repeated(
+                &mut r,
+                self.c0_inc[core],
+                self.idle_inc[core],
+                self.idle_idx[core],
+                self.pending,
+            );
+        }
         let total: f64 = r.iter().sum();
         if total <= 0.0 {
             0.0
@@ -609,6 +680,12 @@ impl WideChip {
 
     /// Advance the chip by `dt`: resolve frequencies, integrate power and
     /// counters, and let the RAPL controller react. Allocation-free.
+    ///
+    /// A tick [`WideChip::steady_tick`] admits only counts itself as
+    /// pending: it would replay the cached increments, and the pending
+    /// ticks fold through one replay when something needs them (module
+    /// docs). Any other tick settles the pending ones first, then
+    /// rebuilds whatever moved and replays itself.
     pub fn tick(&mut self, dt: Seconds) {
         debug_assert_eq!(
             self.active_count,
@@ -616,6 +693,11 @@ impl WideChip {
                 .filter(|&c| self.is_active(c))
                 .count()
         );
+        if self.steady_tick(dt) {
+            self.pending += 1;
+            return;
+        }
+        self.settle();
 
         // Caps depend only on the active count — hoist them out of the
         // per-core loop (Chip re-derives them per core).
@@ -637,15 +719,30 @@ impl WideChip {
     }
 
     /// Run `n` ticks of `dt` each: tick until the next tick is a pure
-    /// replay ([`WideChip::steady_tick`]), then replay all the rest in
-    /// one call. Bit-identical to `n` calls of [`WideChip::tick`].
+    /// replay ([`WideChip::steady_tick`]), then add all the rest to the
+    /// pending ticks and fold them in one replay before returning, so a
+    /// batch leaves nothing pending. Bit-identical to `n` calls of
+    /// [`WideChip::tick`] (which would each check steadiness again).
     pub fn run_ticks(&mut self, n: usize, dt: Seconds) {
         let mut left = n;
         while left > 0 && !self.steady_tick(dt) {
             self.tick(dt);
             left -= 1;
         }
-        self.replay(left, dt);
+        debug_assert!(left == 0 || self.steady_tick(dt));
+        self.pending += left;
+        self.settle();
+    }
+
+    /// Fold the pending ticks into the accumulators: one replay at the
+    /// tick length they were taken at. The inputs may have moved since
+    /// (setters only flag them), but no cache has: every rebuild
+    /// settles first.
+    fn settle(&mut self) {
+        if self.pending > 0 {
+            let k = std::mem::take(&mut self.pending);
+            self.replay(k, Seconds(self.last_dt));
+        }
     }
 
     /// The one tick kernel: fold `k` ticks of the cached increments and
@@ -655,12 +752,13 @@ impl WideChip {
     /// and a `k > 1` batch defers the RAPL running average's `k` EWMA
     /// steps ([`RaplController::observe_steady`]), which land on the bits
     /// of `k` calls of `Chip::tick` whenever they are folded. Only sound
-    /// for `k > 1` while [`WideChip::steady_tick`] holds — no cache may
-    /// move and no RAPL limit may move the cap mid-batch. Always inlined,
-    /// so `tick`'s `k = 1` is the plain per-tick adds and one `observe`.
+    /// for `k > 1` ticks that [`WideChip::steady_tick`] admitted when they
+    /// were taken (`tick` and `run_ticks` check it before deferring) —
+    /// no cache may move and no RAPL limit may move the cap mid-batch.
+    /// Always inlined, so a rebuilding `tick`'s `k = 1` is the plain
+    /// per-tick adds and one `observe`.
     #[inline(always)]
     fn replay(&mut self, k: usize, dt: Seconds) {
-        debug_assert!(k <= 1 || self.steady_tick(dt));
         let n = self.requested.len();
         let k64 = k as u64;
         let tsc_step = self.tsc_inc.wrapping_mul(k64);
@@ -683,23 +781,8 @@ impl WideChip {
             tsc[c] = tsc[c].wrapping_add(tsc_step);
             mperf[c] = mperf[c].wrapping_add(mperf_inc[c].wrapping_mul(k64));
             aperf[c] = aperf[c].wrapping_add(aperf_inc[c].wrapping_mul(k64));
-            // CStateResidency::record and the energy add, on locals (at
-            // `k = 1` this keeps `tick`'s per-core loop in registers).
-            // Idling "in C0" is a second add on the C0 slot.
-            let (c0, idle, joules) = (c0_inc[c], idle_inc[c], energy_inc[c]);
-            let r = &mut residency[c];
-            let mut e = energy[c];
-            let mut active = r[0];
-            match idle_idx[c] as usize & 3 {
-                0 => active = repeat_add(active, [c0, idle], k),
-                idx => {
-                    active = repeat_add(active, [c0], k);
-                    r[idx] = repeat_add(r[idx], [idle], k);
-                }
-            }
-            e.add_repeated(joules, k);
-            r[0] = active;
-            energy[c] = e;
+            record_repeated(&mut residency[c], c0_inc[c], idle_inc[c], idle_idx[c], k);
+            energy[c].add_repeated(energy_inc[c], k);
         }
 
         self.cores_energy.add_repeated(self.cores_energy_inc, k);
@@ -723,9 +806,10 @@ impl WideChip {
     /// move the cap mid-stream. Replay ticks mutate only accumulators
     /// (and the RAPL running average, which without a limit never moves
     /// the cap), so steadiness is self-preserving: once true it stays
-    /// true until an input moves. [`WideChip::run_ticks`] replays the
-    /// rest of its batch in one call from here, and callers may batch
-    /// app-major loops against frozen effective frequencies (see
+    /// true until an input moves. [`WideChip::tick`] defers such a tick
+    /// instead of replaying it, [`WideChip::run_ticks`] folds the rest of
+    /// its batch in one replay from here, and callers may batch app-major
+    /// loops against frozen effective frequencies (see
     /// `Node::advance_interval` in `clusterd`).
     pub fn steady_tick(&self, dt: Seconds) -> bool {
         if self.any_dirty || self.freq_moved || self.last_dt.to_bits() != dt.value().to_bits() {
@@ -742,13 +826,15 @@ impl WideChip {
         caps == self.last_caps
     }
 
-    /// See `Chip::accumulators`.
+    /// See `Chip::accumulators`; pending ticks are folded on a copy.
     #[cfg(test)]
     fn accumulators(&self) -> (f64, f64, Option<f64>) {
+        let mut settled = self.clone();
+        settled.settle();
         (
-            self.pkg_energy.total().value(),
-            self.cores_energy.total().value(),
-            self.rapl.as_ref().map(|r| r.running_average().value()),
+            settled.pkg_energy.total().value(),
+            settled.cores_energy.total().value(),
+            settled.rapl.as_ref().map(|r| r.running_average().value()),
         )
     }
 }
@@ -1018,6 +1104,175 @@ mod tests {
             chip.rapl_cap().unwrap() < spec.grid.max(),
             "the limit must bite for the cap comparison to mean anything"
         );
+    }
+
+    /// Every reader's bits against the scalar oracle, through the public
+    /// readers only. The `&self` readers are read twice: a read must not
+    /// consume the pending ticks. The RAPL average is read through
+    /// `rapl_mut` on a copy, which settles the copy's pending ticks and
+    /// leaves the original's for the setters that follow.
+    fn assert_readers_match(chip: &Chip, wide: &WideChip, what: &str) {
+        for read in ["first read", "second read"] {
+            let what = format!("{what}, {read}");
+            assert_eq!(
+                chip.now().value().to_bits(),
+                wide.now().value().to_bits(),
+                "{what}: clock"
+            );
+            assert_eq!(
+                chip.package_energy_raw(),
+                wide.package_energy_raw(),
+                "{what}: package energy"
+            );
+            assert_eq!(
+                chip.cores_energy_raw(),
+                wide.cores_energy_raw(),
+                "{what}: core-domain energy"
+            );
+            for c in 0..chip.num_cores() {
+                let core = chip.core(c);
+                assert_eq!(chip.counters(c), wide.counters(c), "{what}: core {c}");
+                assert_eq!(
+                    chip.core_energy_raw(c).unwrap(),
+                    wide.core_energy_raw(c).unwrap(),
+                    "{what}: core {c} raw energy"
+                );
+                assert_eq!(
+                    core.energy().total().value().to_bits(),
+                    wide.core_energy_total(c).value().to_bits(),
+                    "{what}: core {c} energy"
+                );
+                assert_eq!(
+                    core.residency().c0_fraction().to_bits(),
+                    wide.c0_fraction(c).to_bits(),
+                    "{what}: core {c} C0 fraction"
+                );
+            }
+        }
+        let average = |r: Option<&mut RaplController>| r.map(|r| r.running_average().value());
+        assert_eq!(
+            average(chip.clone().rapl_mut()).map(f64::to_bits),
+            average(wide.clone().rapl_mut()).map(f64::to_bits),
+            "{what}: RAPL running average"
+        );
+    }
+
+    #[test]
+    fn deferred_ticks_match_the_scalar_oracle_through_every_setter() {
+        let n = 16;
+        let mut spec = PlatformSpec::wide(n);
+        // Exposes the per-core energy readers.
+        spec.per_core_power = true;
+        let mut chip = Chip::new(spec.clone());
+        let mut wide = WideChip::new(spec.clone());
+        configure_mixed(&mut chip);
+        configure_mixed(&mut wide);
+
+        // Single ticks on both chips; a settled wide chip defers all but
+        // the first, which rebuilds whatever the setters moved.
+        let stretch = |chip: &mut Chip, wide: &mut WideChip, dt: Seconds, what: &str| {
+            for _ in 0..40 {
+                chip.tick(dt);
+                wide.tick(dt);
+            }
+            assert_readers_match(chip, wide, what);
+        };
+        // Setters applied to both chips between stretches, each while the
+        // wide chip holds pending ticks, and whether the chip stays
+        // steady after it.
+        type Setter = dyn Fn(&mut dyn ChipLike);
+        let retarget = |chip: &mut dyn ChipLike| {
+            let freqs: Vec<_> = (0..chip.num_cores())
+                .map(|c| KiloHertz::from_mhz(1200 + 100 * (c as u64 % 9)))
+                .collect();
+            chip.set_all_requested(&freqs).unwrap();
+        };
+        let steps: [(&str, &Setter, bool); 6] = [
+            (
+                "an identical set_load",
+                &|chip| chip.set_load(0, LoadDescriptor::nominal()).unwrap(),
+                true,
+            ),
+            (
+                "a set_load that moves the load",
+                &|chip| {
+                    chip.set_load(
+                        0,
+                        LoadDescriptor {
+                            capacitance: 1.7,
+                            utilization: 0.8,
+                            avx: true,
+                        },
+                    )
+                    .unwrap()
+                },
+                false,
+            ),
+            (
+                "set_forced_idle",
+                &|chip| chip.set_forced_idle(3, true).unwrap(),
+                false,
+            ),
+            (
+                "set_idle_state",
+                &|chip| chip.set_idle_state(2, CState::C0).unwrap(),
+                false,
+            ),
+            (
+                "set_requested_freq",
+                &|chip| {
+                    chip.set_requested_freq(1, KiloHertz::from_mhz(2400))
+                        .unwrap()
+                },
+                false,
+            ),
+            ("set_all_requested", &retarget, false),
+        ];
+
+        stretch(&mut chip, &mut wide, MS, "settled");
+        for (what, set, stays_steady) in steps {
+            let owed = wide.pending;
+            assert!(owed > 1, "{what}: the setter must meet pending ticks");
+            set(&mut chip);
+            set(&mut wide);
+            assert_eq!(wide.pending, owed, "{what}: a setter folds nothing");
+            assert_eq!(wide.steady_tick(MS), stays_steady, "{what}");
+            stretch(&mut chip, &mut wide, MS, &format!("after {what}"));
+        }
+
+        // A RAPL limit settles the pending ticks first: they were taken
+        // without one. Under it nothing defers, and the cap must bite.
+        assert!(wide.pending > 1);
+        let limit = Watts(chip.package_power().value() * 0.8);
+        chip.set_rapl_limit(Some(limit)).unwrap();
+        wide.set_rapl_limit(Some(limit)).unwrap();
+        assert_eq!(wide.pending, 0, "set_rapl_limit settles");
+        stretch(&mut chip, &mut wide, MS, "under a RAPL limit");
+        assert_eq!(wide.pending, 0, "a RAPL limit disables deferral");
+        assert!(chip.rapl_cap().unwrap() < spec.grid.max(), "the cap bites");
+        chip.set_rapl_limit(None).unwrap();
+        wide.set_rapl_limit(None).unwrap();
+        stretch(&mut chip, &mut wide, MS, "after clearing the limit");
+
+        // A dt change settles the pending ticks at the length they were
+        // taken at, then rebuilds at the new one.
+        let dt = Seconds(0.0025);
+        assert!(wide.pending > 1);
+        stretch(&mut chip, &mut wide, dt, "after a dt change");
+
+        // A batch folds the ticks owed before it together with its own.
+        assert!(wide.pending > 1);
+        chip.run_ticks(499, dt);
+        wide.run_ticks(499, dt);
+        assert_eq!(wide.pending, 0, "run_ticks leaves nothing pending");
+        assert_readers_match(&chip, &wide, "after run_ticks");
+        stretch(&mut chip, &mut wide, dt, "after run_ticks and more ticks");
+
+        // Settling through the handle lands on the oracle's bits too.
+        settle_all(wide.rapl_mut());
+        assert_eq!(wide.pending, 0, "rapl_mut settles");
+        assert_readers_match(&chip, &wide, "after rapl_mut");
+        assert_bit_identical(&chip, &wide, "settled at the end");
     }
 
     #[test]

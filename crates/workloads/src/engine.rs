@@ -30,7 +30,9 @@ pub struct StepOutcome {
 /// derives purely from `(freq, dt, phase params)`, cached so the fleet
 /// steady state (same frequency, same tick, same phase for millions of
 /// consecutive ticks) pays the divisions once. A replayed hit is
-/// bit-identical to recomputation because the expressions are pure.
+/// bit-identical to recomputation because the expressions are pure. A
+/// single-phase app's params never change, so its hit test compares
+/// `(freq, dt)` alone; a phased app's also compares `params`.
 #[derive(Debug, Clone, Copy)]
 struct TickMemo {
     freq: KiloHertz,
@@ -63,6 +65,8 @@ pub struct RunningApp {
     /// lifetime; `None` for phased profiles, which re-derive them per
     /// tick from run position.
     steady_params: Option<PhaseParams>,
+    /// Instructions in one run, as the `f64` the run-end test compares.
+    run_len: f64,
 }
 
 impl RunningApp {
@@ -80,6 +84,7 @@ impl RunningApp {
     pub fn from_phased(profile: PhasedProfile, looping: bool) -> RunningApp {
         let steady_params = profile.is_uniform().then(|| profile.params_at(0));
         RunningApp {
+            run_len: profile.base().total_instructions as f64,
             profile,
             steady_params,
             retired_in_run: 0.0,
@@ -98,7 +103,9 @@ impl RunningApp {
         self.profile.base()
     }
 
-    /// Advance by `dt` at core frequency `freq`.
+    /// Advance by `dt` at core frequency `freq`. A single-phase app's
+    /// memo hit test is [`RunningApp::steady_at`]'s `(freq, dt)` key; a
+    /// phased app's also compares the phase params at the run position.
     #[inline]
     pub fn advance(&mut self, dt: Seconds, freq: KiloHertz) -> StepOutcome {
         if self.done {
@@ -116,7 +123,9 @@ impl RunningApp {
             None => self.profile.params_at(self.retired_in_run as u64),
         };
         let hit = self.memo.as_ref().is_some_and(|m| {
-            m.freq == freq && m.dt_bits == dt.value().to_bits() && m.params == params
+            m.freq == freq
+                && m.dt_bits == dt.value().to_bits()
+                && (self.steady_params.is_some() || m.params == params)
         });
         if !hit {
             let spi = params.cpi / freq.hz() + params.mem_stall_ns * 1e-9;
@@ -144,9 +153,8 @@ impl RunningApp {
         let load = m.load;
         let (mut n, mut instructions, mut ips) = (m.n, m.instructions, m.ips);
 
-        let total = self.profile.base().total_instructions as f64;
         let mut finished = false;
-        let remaining = total - self.retired_in_run;
+        let remaining = self.run_len - self.retired_in_run;
         if n >= remaining {
             // The run completes inside this tick.
             n = remaining;
@@ -191,7 +199,8 @@ impl RunningApp {
     /// Whether every following `advance(dt, freq)` call is a pure memo
     /// replay whose load descriptor provably equals the one the previous
     /// call returned: single-phase looping profile, and the memo keyed on
-    /// the same `(freq, dt)`. Run wrap-around does not break this — a
+    /// the same `(freq, dt)` (the key `advance` itself tests for a
+    /// single-phase app). Run wrap-around does not break this — a
     /// single-phase looping app presents the same load across the
     /// boundary. A `once` app never qualifies: on its last tick it turns
     /// IDLE, a load change a batch would miss. Drivers use it to elide
@@ -221,9 +230,8 @@ impl RunningApp {
     pub fn advance_steady(&mut self, k: usize, dt: Seconds, freq: KiloHertz) -> u64 {
         if k > 0 && self.steady_at(dt, freq) {
             let m = self.memo.expect("steady_at checked the memo");
-            let total = self.profile.base().total_instructions as f64;
             let last = repeat_add(self.retired_in_run, [m.n], k - 1);
-            if m.n >= 0.0 && m.n < total - last {
+            if m.n >= 0.0 && m.n < self.run_len - last {
                 self.retired_in_run = last + m.n;
                 self.total_retired = repeat_add(self.total_retired, [m.n], k);
                 self.active_time = Seconds(repeat_add(self.active_time.value(), [dt.value()], k));
@@ -243,7 +251,7 @@ impl RunningApp {
         if self.done {
             return 1.0;
         }
-        self.retired_in_run / self.profile.base().total_instructions as f64
+        self.retired_in_run / self.run_len
     }
 
     /// Whether the app has finished (never true for looping apps).
@@ -281,6 +289,7 @@ impl RunningApp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::phases::Phase;
     use crate::spec;
 
     const DT: Seconds = Seconds(0.01);
@@ -472,6 +481,39 @@ mod tests {
             last.instructions + after.instructions
         );
         assert_same_state(&batched, &app, "once app past its end");
+    }
+
+    #[test]
+    fn phased_app_rekeys_its_memo_at_a_phase_boundary() {
+        let (dt, f) = (Seconds(0.001), KiloHertz::from_mhz(2000));
+        let phase = |fraction, mult| Phase {
+            fraction,
+            cpi_mult: mult,
+            stall_mult: 1.0,
+            cap_mult: mult,
+        };
+        let profile = PhasedProfile::with_phases(SHORT_GCC, vec![phase(0.5, 1.0), phase(0.5, 1.5)]);
+        let mut memoized = RunningApp::from_phased(profile, true);
+        let mut fresh = memoized.clone();
+        let mut capacitances = Vec::new();
+        // One frequency and one tick throughout: only the phase moves, so
+        // only the params compare can tell the memo it is stale.
+        for t in 0..40 {
+            let out = memoized.advance(dt, f);
+            fresh.memo = None;
+            let expected = fresh.advance(dt, f);
+            assert_eq!(out, expected, "tick {t}: outcome");
+            assert_same_state(&memoized, &fresh, &format!("tick {t}"));
+            if !capacitances.contains(&out.load.capacitance) {
+                capacitances.push(out.load.capacitance);
+            }
+        }
+        assert_eq!(
+            capacitances.len(),
+            2,
+            "the ticks must cross phase boundaries"
+        );
+        assert!(memoized.completed_runs() > 2, "and run boundaries");
     }
 
     #[test]
