@@ -16,12 +16,18 @@
 //! tick-to-interval ratio so the measured speedup is the *end-to-end*
 //! arbiter + simulation cost per control window.
 //!
-//! Exits non-zero if (a) any stack diverges from the baseline in any
-//! checked bit — energy to the bit, node caps, per-app reports, free
-//! cores — or (b) the fleet stack is below 6x the baseline's end-to-end
-//! throughput. Memo hit rate and steps/sec land in
-//! `results/BENCH_fleet.json` for CI, with the host's available
-//! parallelism and the shard workers `run_sharded` used.
+//! The baseline replays once. The widechip and fleet stacks replay in
+//! [`PAIRS`] pairs that flip which stack goes first, so a host slowdown
+//! during one replay moves one pair, not the comparison: the report
+//! gives each stack's median wall time and the min, median and max of
+//! the per-pair fleet-over-widechip wall ratio.
+//!
+//! Exits non-zero if (a) any replay of any stack diverges from the
+//! baseline in any checked bit — energy to the bit, node caps, per-app
+//! reports, free cores — or (b) the fleet stack's median wall time is
+//! above 1/6 of the baseline's (a speedup below 6x). Memo hit rate and
+//! steps/sec land in `results/BENCH_fleet.json` for CI, with the host's
+//! available parallelism and the shard workers `run_sharded` used.
 
 use std::fmt::Write as _;
 use std::process::ExitCode;
@@ -61,6 +67,9 @@ const REBALANCE_EVERY: u64 = 8;
 /// Required end-to-end speedup of the fleet stack over the scalar-`Chip`
 /// baseline.
 const SPEEDUP_GATE: f64 = 6.0;
+/// Order-alternated timing pairs of the widechip and fleet stacks (odd,
+/// so each median is one replay's or one pair's).
+const PAIRS: usize = 5;
 
 /// End state + wall time of one replay. Everything the three stacks
 /// must agree on bit-for-bit.
@@ -80,10 +89,6 @@ struct Outcome {
 }
 
 impl Outcome {
-    fn steps_per_sec(&self) -> f64 {
-        self.steps as f64 / self.wall_secs
-    }
-
     fn agrees_with(&self, other: &Outcome) -> bool {
         self.intervals == other.intervals
             && self.energy_bits == other.energy_bits
@@ -159,31 +164,88 @@ fn replay<C: ChipLike + Send>(
     }
 }
 
-fn json_report(outcomes: &[Outcome], windows: u64, speedup: f64) -> String {
+/// Every replay of one stack, in the order they ran.
+struct Stack {
+    runs: Vec<Outcome>,
+}
+
+impl Stack {
+    fn label(&self) -> &'static str {
+        self.runs[0].label
+    }
+
+    /// The median replay's wall time.
+    fn wall_secs(&self) -> f64 {
+        let mut walls: Vec<f64> = self.runs.iter().map(|o| o.wall_secs).collect();
+        walls.sort_by(f64::total_cmp);
+        walls[walls.len() / 2]
+    }
+
+    fn steps_per_sec(&self) -> f64 {
+        self.runs[0].steps as f64 / self.wall_secs()
+    }
+
+    /// Whether every replay agrees with `baseline` in every checked bit.
+    fn agrees_with(&self, baseline: &Outcome) -> bool {
+        self.runs.iter().all(|o| o.agrees_with(baseline))
+    }
+
+    fn memo(&self) -> Option<MemoStats> {
+        self.runs[0].memo
+    }
+}
+
+/// Min, median and max of the per-pair wall ratio `a / b`.
+fn pair_ratios(a: &Stack, b: &Stack) -> (f64, f64, f64) {
+    let mut ratios: Vec<f64> = a
+        .runs
+        .iter()
+        .zip(&b.runs)
+        .map(|(a, b)| a.wall_secs / b.wall_secs)
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    (
+        ratios[0],
+        ratios[ratios.len() / 2],
+        ratios[ratios.len() - 1],
+    )
+}
+
+fn json_report(stacks: &[Stack], windows: u64, speedup: f64) -> String {
     let parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let shards = outcomes.iter().map(|o| o.shards).max().unwrap_or(0);
+    let shards = stacks
+        .iter()
+        .flat_map(|s| &s.runs)
+        .map(|o| o.shards)
+        .max()
+        .unwrap_or(0);
+    let baseline = &stacks[0].runs[0];
+    let (min, median, max) = pair_ratios(&stacks[2], &stacks[1]);
     let mut s = String::from("{\n  \"bench\": \"fleet\",\n");
     let _ = writeln!(
         s,
         "  \"nodes\": {NODES},\n  \"windows\": {windows},\n  \"seed\": {SEED},\n  \
          \"host\": {{\"available_parallelism\": {parallelism}, \"shards\": {shards}}},\n  \
-         \"ticks_per_interval\": {TICKS_PER_INTERVAL},\n  \"speedup\": {speedup:.2},\n  \
-         \"stacks\": ["
+         \"ticks_per_interval\": {TICKS_PER_INTERVAL},\n  \"timing_pairs\": {PAIRS},\n  \
+         \"speedup\": {speedup:.2},\n  \
+         \"fleet_over_widechip\": {median:.3}, \"fleet_over_widechip_min\": {min:.3}, \
+         \"fleet_over_widechip_max\": {max:.3},\n  \"stacks\": ["
     );
-    for (i, o) in outcomes.iter().enumerate() {
-        let (hits, misses, rate) = o
-            .memo
+    for (i, stack) in stacks.iter().enumerate() {
+        let (hits, misses, rate) = stack
+            .memo()
             .map_or((0, 0, 0.0), |m| (m.hits, m.misses, m.hit_rate()));
         let _ = writeln!(
             s,
-            "    {{\"stack\": \"{}\", \"wall_s\": {:.4}, \"steps_per_s\": {:.0}, \
+            "    {{\"stack\": \"{}\", \"replays\": {}, \"wall_s\": {:.4}, \"steps_per_s\": {:.0}, \
              \"memo_hits\": {hits}, \"memo_misses\": {misses}, \"memo_hit_rate\": {rate:.4}, \
              \"identical_to_baseline\": {}}}{}",
-            o.label,
-            o.wall_secs,
-            o.steps_per_sec(),
-            o.agrees_with(&outcomes[0]),
-            if i + 1 == outcomes.len() { "" } else { "," }
+            stack.label(),
+            stack.runs.len(),
+            stack.wall_secs(),
+            stack.steps_per_sec(),
+            stack.agrees_with(baseline),
+            if i + 1 == stacks.len() { "" } else { "," }
         );
     }
     s.push_str("  ]\n}\n");
@@ -207,15 +269,34 @@ fn main() -> ExitCode {
         }
     }
 
-    let outcomes = [
-        replay::<Chip>("baseline_chip", NODES, windows, MemoMode::Off),
-        replay::<WideChip>("widechip", NODES, windows, MemoMode::Off),
-        replay::<WideChip>("fleet_memo", NODES, windows, MemoMode::exact()),
+    let baseline = replay::<Chip>("baseline_chip", NODES, windows, MemoMode::Off);
+    let widechip = || replay::<WideChip>("widechip", NODES, windows, MemoMode::Off);
+    let fleet = || replay::<WideChip>("fleet_memo", NODES, windows, MemoMode::exact());
+    let (mut wide_runs, mut fleet_runs) = (Vec::new(), Vec::new());
+    for k in 0..PAIRS {
+        if k % 2 == 0 {
+            wide_runs.push(widechip());
+            fleet_runs.push(fleet());
+        } else {
+            fleet_runs.push(fleet());
+            wide_runs.push(widechip());
+        }
+    }
+    let stacks = [
+        Stack {
+            runs: vec![baseline],
+        },
+        Stack { runs: wide_runs },
+        Stack { runs: fleet_runs },
     ];
-    let speedup = outcomes[0].wall_secs / outcomes[2].wall_secs;
+    let baseline = &stacks[0].runs[0];
+    let speedup = baseline.wall_secs / stacks[2].wall_secs();
 
     let mut t = Table::new(
-        format!("Fleet fast path ({NODES} nodes, {windows} churn-heavy windows)"),
+        format!(
+            "Fleet fast path ({NODES} nodes, {windows} churn-heavy windows; \
+             median wall of {PAIRS} alternated pairs for the fast stacks)"
+        ),
         &[
             "stack",
             "identical",
@@ -225,29 +306,35 @@ fn main() -> ExitCode {
             "memo_hit_rate",
         ],
     );
-    for o in &outcomes {
+    for stack in &stacks {
         t.row(vec![
-            o.label.to_string(),
-            if o.agrees_with(&outcomes[0]) {
+            stack.label().to_string(),
+            if stack.agrees_with(baseline) {
                 "yes".into()
             } else {
                 "NO".into()
             },
-            f2(o.wall_secs),
-            f1(o.steps_per_sec() / 1e3),
-            f2(outcomes[0].wall_secs / o.wall_secs),
-            o.memo
+            f2(stack.wall_secs()),
+            f1(stack.steps_per_sec() / 1e3),
+            f2(baseline.wall_secs / stack.wall_secs()),
+            stack
+                .memo()
                 .map_or("-".into(), |m| format!("{:.1}%", m.hit_rate() * 100.0)),
         ]);
     }
     println!("{t}");
+    let (min, median, max) = pair_ratios(&stacks[2], &stacks[1]);
+    println!(
+        "fleet_memo over widechip wall time: median {median:.3} of {PAIRS} pairs \
+         (range {min:.3}–{max:.3})"
+    );
 
     let mut failures = Vec::new();
-    for o in &outcomes[1..] {
-        if !o.agrees_with(&outcomes[0]) {
+    for stack in &stacks[1..] {
+        if !stack.agrees_with(baseline) {
             failures.push(format!(
-                "{}: diverged from the scalar-Chip baseline at epsilon = 0",
-                o.label
+                "{}: a replay diverged from the scalar-Chip baseline at epsilon = 0",
+                stack.label()
             ));
         }
     }
@@ -257,7 +344,7 @@ fn main() -> ExitCode {
         ));
     }
 
-    let json = json_report(&outcomes, windows, speedup);
+    let json = json_report(&stacks, windows, speedup);
     if let Some(dir) = std::path::Path::new(&out_path).parent() {
         let _ = std::fs::create_dir_all(dir);
     }
@@ -265,10 +352,10 @@ fn main() -> ExitCode {
     println!("Report written to {out_path}");
 
     if failures.is_empty() {
-        let memo = outcomes[2].memo.expect("fleet stack memoizes");
+        let memo = stacks[2].memo().expect("fleet stack memoizes");
         println!(
-            "PASS: all stacks bit-identical, {speedup:.1}x end-to-end at {NODES} nodes, \
-             memo hit rate {:.1}%.",
+            "PASS: every replay of every stack bit-identical, {speedup:.1}x end-to-end at \
+             {NODES} nodes, memo hit rate {:.1}%.",
             memo.hit_rate() * 100.0
         );
         ExitCode::SUCCESS

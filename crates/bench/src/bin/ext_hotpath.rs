@@ -235,6 +235,10 @@ const WIDE_DT: Seconds = Seconds(0.001);
 const WIDE_RETARGET_EVERY: usize = 128;
 /// Untimed ticks that fill caches and settle the RAPL controller.
 const WIDE_WARMUP_TICKS: usize = 256;
+/// Fewest ticks one trial of the sweep times. It binds at the gated
+/// width only: at 1950 ticks a trial there, single pairs read 3.07–12.5×
+/// on a 2-vCPU host and the median of nine 4.03–4.93×.
+const WIDE_MIN_TICKS: usize = 3900;
 
 /// Everything that must come out bit-identical from the two simulator
 /// cores after an identical drive.
@@ -357,8 +361,9 @@ fn run_wide_sweep() -> Vec<WideResult> {
     WIDE_CORES
         .iter()
         .map(|&n| {
-            // Roughly constant work per width so the sweep stays quick.
-            let ticks = 5 * (400_000 / n).max(256);
+            // Roughly constant work per width so the sweep stays quick,
+            // and never fewer than WIDE_MIN_TICKS.
+            let ticks = (5 * (400_000 / n)).max(WIDE_MIN_TICKS);
             let mut chip = WideDrive::<Chip>::new(n);
             let mut wide = WideDrive::<WideChip>::new(n);
             let timing = paired(|| wide.time(ticks), || chip.time(ticks));

@@ -320,28 +320,6 @@ impl<C: ChipLike> FaultyChip<C> {
         Ok(())
     }
 
-    /// Effective frequency of a core during the last tick (the workload
-    /// engine needs it; it is the simulation contract, not an MSR).
-    pub fn effective_freq(&self, core: usize) -> KiloHertz {
-        self.chip.effective_freq(core)
-    }
-
-    /// Install a load descriptor (workload engine path, reliable).
-    pub fn set_load(
-        &mut self,
-        core: usize,
-        load: pap_simcpu::power::LoadDescriptor,
-    ) -> Result<(), FaultError> {
-        self.chip.set_load(core, load)?;
-        Ok(())
-    }
-
-    /// Credit retired instructions (workload engine path, reliable).
-    pub fn add_instructions(&mut self, core: usize, n: u64) -> Result<(), FaultError> {
-        self.chip.add_instructions(core, n)?;
-        Ok(())
-    }
-
     /// Advance simulated time, handling thermal-emergency entry/exit.
     /// The emergency state is evaluated at the *post-tick* time, so a
     /// window opening mid-tick clamps from the next tick on (firmware
@@ -373,12 +351,43 @@ impl<C: ChipLike> FaultyChip<C> {
     }
 }
 
+/// The workload engine's side of the chip: the per-tick protocol
+/// ([`RunningApp::tick_on`]) runs on a faulty chip as on any other. These
+/// paths are reliable — the effective frequency is the simulation
+/// contract, not an MSR, and loads and retired instructions are what
+/// the workload does, not a register the plan breaks — so only a caller
+/// bug (a bad core index) fails them, as [`FaultError::Sim`].
+///
+/// [`RunningApp::tick_on`]: pap_workloads::engine::RunningApp::tick_on
+impl<C: ChipLike> pap_workloads::engine::TickTarget for FaultyChip<C> {
+    type Error = FaultError;
+
+    fn effective_freq(&self, core: usize) -> KiloHertz {
+        self.chip.effective_freq(core)
+    }
+
+    fn set_load(
+        &mut self,
+        core: usize,
+        load: pap_simcpu::power::LoadDescriptor,
+    ) -> Result<(), FaultError> {
+        self.chip.set_load(core, load)?;
+        Ok(())
+    }
+
+    fn add_instructions(&mut self, core: usize, n: u64) -> Result<(), FaultError> {
+        self.chip.add_instructions(core, n)?;
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::chaos_platform;
     use pap_simcpu::chip::Chip;
     use pap_simcpu::units::Seconds;
+    use pap_workloads::engine::TickTarget;
 
     const MS: Seconds = Seconds(0.001);
 

@@ -197,6 +197,7 @@ mod tests {
     use crate::plan::{FaultKind, FaultPlan};
     use pap_simcpu::chip::Chip;
     use pap_simcpu::power::LoadDescriptor;
+    use pap_workloads::engine::TickTarget;
 
     fn run_for(chip: &mut FaultyChip<Chip>, secs: f64) {
         let dt = Seconds(0.001);

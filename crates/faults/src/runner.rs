@@ -279,11 +279,7 @@ impl ChaosExperiment {
                 if parked[core] {
                     continue;
                 }
-                let f = fchip.effective_freq(core);
-                let out = app.advance(self.tick, f);
-                fchip.set_load(core, out.load).map_err(|e| e.to_string())?;
-                fchip
-                    .add_instructions(core, out.instructions)
+                app.tick_on(&mut fchip, core, self.tick)
                     .map_err(|e| e.to_string())?;
             }
             fchip.tick(self.tick);

@@ -9,7 +9,10 @@
 //!
 //! * every per-core variable lives in its own flat vector, so the tick
 //!   loop streams over contiguous memory instead of hopping across
-//!   200-byte core structs;
+//!   200-byte core structs; the one exception is the load descriptor,
+//!   kept as one packed slot per core because the per-tick protocol
+//!   writes it a whole descriptor at a time
+//!   ([`WideChip::set_load`]);
 //! * the turbo/RAPL caps are hoisted out of the per-core loop (they
 //!   depend only on the active-core count, not on which core asks), and
 //!   the active count itself is maintained incrementally by the setters
@@ -137,9 +140,9 @@ pub struct WideChip {
     // --- struct-of-arrays per-core state ---
     requested: Vec<KiloHertz>,
     effective: Vec<KiloHertz>,
-    load_cap: Vec<f64>,
-    load_util: Vec<f64>,
-    load_avx: Vec<bool>,
+    /// The load each core presents, one packed slot per core, so
+    /// [`WideChip::set_load`] does one bounds check on one slot.
+    load: Vec<LoadDescriptor>,
     forced_idle: Vec<bool>,
     idle_state: Vec<CState>,
     tsc: Vec<u64>,
@@ -244,9 +247,7 @@ impl WideChip {
             last_cores_power: Watts::ZERO,
             requested: vec![spec.base_freq; n],
             effective: vec![spec.base_freq; n],
-            load_cap: vec![0.0; n],
-            load_util: vec![0.0; n],
-            load_avx: vec![false; n],
+            load: vec![LoadDescriptor::IDLE; n],
             forced_idle: vec![false; n],
             idle_state: vec![CState::C6; n],
             tsc: vec![0; n],
@@ -283,8 +284,7 @@ impl WideChip {
     /// a setter touched its load or park state.
     #[inline]
     fn refresh_active(&mut self, core: usize) {
-        let now =
-            !self.forced_idle[core] && self.load_util[core] > 0.0 && self.load_cap[core] > 0.0;
+        let now = self.is_active(core);
         if now != self.active_flag[core] {
             self.active_flag[core] = now;
             if now {
@@ -387,22 +387,25 @@ impl WideChip {
     ///
     /// Re-installing a bitwise-identical descriptor is a no-op: the
     /// cached tick increments are pure functions of the inputs, so a
-    /// rebuild would reproduce them bit-for-bit — and cluster nodes
-    /// re-install every resident app's load each tick, which would
-    /// otherwise force a rebuild on every tick of a steady interval.
+    /// rebuild would reproduce them bit-for-bit — and a per-tick loop
+    /// re-installs every app's load each tick, which would otherwise
+    /// force a rebuild on every tick of a steady stretch. That no-op is
+    /// one bounds check on the core's packed load slot (its miss is the
+    /// `NoSuchCore` error) and one compare.
     #[inline]
     pub fn set_load(&mut self, core: usize, load: LoadDescriptor) -> Result<()> {
-        self.check_core(core)?;
+        let num_cores = self.load.len();
+        let Some(slot) = self.load.get_mut(core) else {
+            return Err(SimError::NoSuchCore { core, num_cores });
+        };
         debug_assert!(load.is_valid());
-        if self.load_cap[core].to_bits() == load.capacitance.to_bits()
-            && self.load_util[core].to_bits() == load.utilization.to_bits()
-            && self.load_avx[core] == load.avx
+        if slot.capacitance.to_bits() == load.capacitance.to_bits()
+            && slot.utilization.to_bits() == load.utilization.to_bits()
+            && slot.avx == load.avx
         {
             return Ok(());
         }
-        self.load_cap[core] = load.capacitance;
-        self.load_util[core] = load.utilization;
-        self.load_avx[core] = load.avx;
+        *slot = load;
         self.cache_dirty[core] = true;
         self.any_dirty = true;
         self.refresh_active(core);
@@ -437,12 +440,18 @@ impl WideChip {
         Ok(())
     }
 
-    /// Credit retired instructions to a core.
+    /// Credit retired instructions to a core: one bounds check, whose
+    /// miss is the `NoSuchCore` error.
     #[inline]
     pub fn add_instructions(&mut self, core: usize, n: u64) -> Result<()> {
-        self.check_core(core)?;
-        self.instructions[core] = self.instructions[core].wrapping_add(n);
-        Ok(())
+        let num_cores = self.instructions.len();
+        match self.instructions.get_mut(core) {
+            Some(count) => {
+                *count = count.wrapping_add(n);
+                Ok(())
+            }
+            None => Err(SimError::NoSuchCore { core, num_cores }),
+        }
     }
 
     /// Program a RAPL package power limit; errors on platforms without
@@ -577,7 +586,8 @@ impl WideChip {
     /// `SimCore::is_active`).
     #[inline]
     fn is_active(&self, core: usize) -> bool {
-        !self.forced_idle[core] && self.load_util[core] > 0.0 && self.load_cap[core] > 0.0
+        let load = &self.load[core];
+        !self.forced_idle[core] && load.utilization > 0.0 && load.capacitance > 0.0
     }
 
     /// Number of cores that will execute this tick.
@@ -609,13 +619,10 @@ impl WideChip {
         for c in 0..self.requested.len() {
             let is_active = self.active_flag[c];
             if all || self.cache_dirty[c] {
+                let load = self.load[c];
                 // Same min-chain as Chip::resolve_freq.
                 let mut f = self.requested[c];
-                f = f.min(if self.load_avx[c] {
-                    cap_avx
-                } else {
-                    cap_scalar
-                });
+                f = f.min(if load.avx { cap_avx } else { cap_scalar });
                 if let Some(rc) = rapl_cap {
                     f = f.min(rc);
                 }
@@ -626,14 +633,7 @@ impl WideChip {
                 // moved.
                 if self.cache_dirty[c] || f != self.effective[c] {
                     self.last_power[c] = if is_active {
-                        self.spec.power.core_power(
-                            f,
-                            &LoadDescriptor {
-                                capacitance: self.load_cap[c],
-                                utilization: self.load_util[c],
-                                avx: self.load_avx[c],
-                            },
-                        )
+                        self.spec.power.core_power(f, &load)
                     } else {
                         self.idle_power_by_state[cstate_index(self.idle_state[c])]
                     };
@@ -641,7 +641,7 @@ impl WideChip {
                 self.effective[c] = f;
 
                 // SimCore::integrate's per-tick products, computed once.
-                let active_fraction = if is_active { self.load_util[c] } else { 0.0 };
+                let active_fraction = if is_active { load.utilization } else { 0.0 };
                 self.mperf_inc[c] = (mperf_base * active_fraction) as u64;
                 self.aperf_inc[c] = (f.hz() * dt.value() * active_fraction) as u64;
                 self.c0_inc[c] = dt.value() * active_fraction;
@@ -649,7 +649,7 @@ impl WideChip {
                 self.idle_idx[c] = cstate_index(self.idle_state[c]) as u8;
                 self.energy_inc[c] = self.last_power[c] * dt;
                 self.freq_weight[c] = if is_active {
-                    f.scale(self.load_util[c])
+                    f.scale(load.utilization)
                 } else {
                     KiloHertz::ZERO
                 };

@@ -20,9 +20,13 @@ use common::*;
 use pap_alloccount::{AllocCounter, CountingAlloc};
 use pap_bench::synth::*;
 use pap_model::TranslationKind;
+use pap_simcpu::freq::KiloHertz;
 use pap_simcpu::platform::PlatformSpec;
 use pap_simcpu::units::{Seconds, Watts};
+use pap_simcpu::widechip::WideChip;
 use pap_telemetry::sampler::Sample;
+use pap_workloads::engine::RunningApp;
+use pap_workloads::spec::spec2017;
 use powerd::config::{AppSpec, DaemonConfig, MemoMode, PolicyKind};
 use powerd::daemon::Daemon;
 use powerd::resilience::{CoreObservation, Observation, ResilienceConfig, ResilientDaemon};
@@ -239,4 +243,60 @@ fn zero_alloc_settled_node_interval() {
             after.bytes_since(&before),
         );
     }
+}
+
+/// A settled 1024-core wide node — one looping SPEC app per core, the
+/// chip's pending ticks and the apps' deferred ticks both counting —
+/// allocates nothing per tick of the per-tick protocol, nor when every
+/// app is read through its `&self` readers (which fold the pending
+/// ticks on local copies, never on a clone of the app).
+#[test]
+fn zero_alloc_settled_wide_node_ticks() {
+    const CORES: usize = 1024;
+    const WARMUP: usize = 50;
+    const MEASURED: usize = 200;
+    let tick = Seconds(0.01);
+    let spec = PlatformSpec::wide(CORES);
+    let mut chip = WideChip::new(spec.clone());
+    let grid = spec.grid;
+    let freqs: Vec<KiloHertz> = (0..CORES)
+        .map(|c| KiloHertz(grid.min().khz() + (c % grid.len()) as u64 * grid.step().khz()))
+        .collect();
+    chip.set_all_requested(&freqs).expect("grid frequencies");
+    let profiles = spec2017();
+    let mut apps: Vec<RunningApp> = (0..CORES)
+        .map(|c| RunningApp::looping(profiles[c % profiles.len()]))
+        .collect();
+    let run_tick = |chip: &mut WideChip, apps: &mut [RunningApp]| {
+        for (core, app) in apps.iter_mut().enumerate() {
+            app.tick_on(chip, core, tick).expect("core in range");
+        }
+        chip.tick(tick);
+    };
+    for _ in 0..WARMUP {
+        run_tick(&mut chip, &mut apps);
+    }
+    assert!(chip.steady_tick(tick), "the chip must have settled");
+    let mut checksum = 0.0;
+    for t in 0..MEASURED {
+        let before = AllocCounter::snapshot();
+        run_tick(&mut chip, &mut apps);
+        for app in &apps {
+            checksum += app.progress()
+                + app.last_ips()
+                + app.active_time().value()
+                + (app.total_retired() ^ app.completed_runs()) as f64;
+        }
+        let after = AllocCounter::snapshot();
+        assert_eq!(
+            after.events_since(&before),
+            0,
+            "tick {} allocated ({} allocs, {} reallocs, {} bytes)",
+            WARMUP + t,
+            after.allocs - before.allocs,
+            after.reallocs - before.reallocs,
+            after.bytes_since(&before),
+        );
+    }
+    assert!(checksum.is_finite() && checksum > 0.0);
 }
