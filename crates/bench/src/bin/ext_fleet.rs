@@ -1,33 +1,29 @@
-//! Extension: the fleet fast path — WideChip-backed nodes plus decision
-//! memoization, end to end (DESIGN.md §16).
+//! Extension: the fleet fast path — WideChip-backed nodes, end to end
+//! (DESIGN.md §16).
 //!
 //! Replays the same seeded churn-heavy diurnal day at 1024 nodes through
-//! three stacks, all on the sharded `pap-scale` engine:
+//! two stacks, both on the sharded `pap-scale` engine:
 //!
-//! * **baseline** — scalar per-core `Chip` nodes, memoization off: what
-//!   the fleet paid before this fast path landed;
-//! * **widechip** — batch-stepped `WideChip` nodes, memoization off:
-//!   the simulator half of the win in isolation;
-//! * **fleet** — `WideChip` nodes with exact (ε = 0) decision
-//!   memoization: the shipping configuration.
+//! * **baseline** — scalar per-core `Chip` nodes: what the fleet paid
+//!   before this fast path landed;
+//! * **widechip** — batch-stepped `WideChip` nodes: the shipping
+//!   configuration.
 //!
 //! Unlike `ext_cluster_scale` (which pins one sim tick per control
 //! interval to isolate the control plane), this bench runs a realistic
 //! tick-to-interval ratio so the measured speedup is the *end-to-end*
 //! arbiter + simulation cost per control window.
 //!
-//! The baseline replays once. The widechip and fleet stacks replay in
-//! [`PAIRS`] pairs that flip which stack goes first, so a host slowdown
-//! during one replay moves one pair, not the comparison: the report
-//! gives each stack's median wall time and the min, median and max of
-//! the per-pair fleet-over-widechip wall ratio.
+//! The baseline replays once and the widechip stack [`REPLAYS`] times,
+//! so one slow replay on a busy host moves no gate: the report gives
+//! the median replay's wall time.
 //!
-//! Exits non-zero if (a) any replay of any stack diverges from the
-//! baseline in any checked bit — energy to the bit, node caps, per-app
-//! reports, free cores — or (b) the fleet stack's median wall time is
-//! above 1/6 of the baseline's (a speedup below 6x). Memo hit rate and
-//! steps/sec land in `results/BENCH_fleet.json` for CI, with the host's
-//! available parallelism and the shard workers `run_sharded` used.
+//! Exits non-zero if (a) any widechip replay diverges from the baseline
+//! in any checked bit — energy to the bit, node caps, per-app reports,
+//! free cores — or (b) the median widechip replay's wall time is above
+//! 1/6 of the baseline's (a speedup below 6x). Steps/sec land in
+//! `results/BENCH_fleet.json` for CI, with the host's available
+//! parallelism and the shard workers `run_sharded` used.
 
 use std::fmt::Write as _;
 use std::process::ExitCode;
@@ -42,8 +38,7 @@ use pap_simcpu::chiplike::ChipLike;
 use pap_simcpu::units::{Seconds, Watts};
 use pap_simcpu::widechip::WideChip;
 use pap_tenants::arrival::ArrivalTrace;
-use powerd::config::{MemoMode, PolicyKind};
-use powerd::memo::MemoStats;
+use powerd::config::PolicyKind;
 
 fn f2(v: f64) -> String {
     format!("{v:.2}")
@@ -60,19 +55,17 @@ const TURNOVER: usize = 32;
 /// telemetry tick. (The cluster default is 1 ms — 1000 ticks — which
 /// would only flatter the WideChip side; 500 is conservative.)
 const TICKS_PER_INTERVAL: u64 = 500;
-/// Cluster-level cap rebalances every N node control intervals; between
-/// rebalances a settled node's inputs are bit-stable and the memo can
-/// replay.
+/// Cluster-level cap rebalances every N node control intervals.
 const REBALANCE_EVERY: u64 = 8;
-/// Required end-to-end speedup of the fleet stack over the scalar-`Chip`
-/// baseline.
+/// Required end-to-end speedup of the widechip stack over the
+/// scalar-`Chip` baseline.
 const SPEEDUP_GATE: f64 = 6.0;
-/// Order-alternated timing pairs of the widechip and fleet stacks (odd,
-/// so each median is one replay's or one pair's).
-const PAIRS: usize = 5;
+/// Timed replays of the widechip stack (odd, so the median is one
+/// replay's).
+const REPLAYS: usize = 5;
 
-/// End state + wall time of one replay. Everything the three stacks
-/// must agree on bit-for-bit.
+/// End state + wall time of one replay. Everything the two stacks must
+/// agree on bit-for-bit.
 struct Outcome {
     label: &'static str,
     wall_secs: f64,
@@ -83,7 +76,6 @@ struct Outcome {
     free_cores: usize,
     /// Node control steps executed (nodes x windows).
     steps: u64,
-    memo: Option<MemoStats>,
     /// Most shard workers any `run_sharded` call used.
     shards: usize,
 }
@@ -98,7 +90,7 @@ impl Outcome {
     }
 }
 
-fn config(nodes: usize, memo: MemoMode) -> ClusterConfig {
+fn config(nodes: usize) -> ClusterConfig {
     let mut cfg = ClusterConfig::new(
         nodes,
         PolicyKind::FrequencyShares,
@@ -106,19 +98,13 @@ fn config(nodes: usize, memo: MemoMode) -> ClusterConfig {
     );
     cfg.tick = Seconds(cfg.control_interval.value() / TICKS_PER_INTERVAL as f64);
     cfg.rebalance_every = REBALANCE_EVERY;
-    cfg.memo = memo;
     cfg
 }
 
 /// Replay `windows` control windows of the seeded churn-heavy diurnal
 /// day on a fresh cluster over chip backend `C`.
-fn replay<C: ChipLike + Send>(
-    label: &'static str,
-    nodes: usize,
-    windows: u64,
-    memo: MemoMode,
-) -> Outcome {
-    let cfg = config(nodes, memo);
+fn replay<C: ChipLike + Send>(label: &'static str, nodes: usize, windows: u64) -> Outcome {
+    let cfg = config(nodes);
     let interval = cfg.control_interval;
     let mut cluster: Cluster<C> = Cluster::with_backend(cfg).expect("budget funds the node floors");
     let capacity = nodes * cluster.config().platform.num_cores;
@@ -159,7 +145,6 @@ fn replay<C: ChipLike + Send>(
         reports: cluster.reports(),
         free_cores: cluster.free_cores(),
         steps: nodes as u64 * windows,
-        memo: cluster.memo_stats(),
         shards,
     }
 }
@@ -189,26 +174,6 @@ impl Stack {
     fn agrees_with(&self, baseline: &Outcome) -> bool {
         self.runs.iter().all(|o| o.agrees_with(baseline))
     }
-
-    fn memo(&self) -> Option<MemoStats> {
-        self.runs[0].memo
-    }
-}
-
-/// Min, median and max of the per-pair wall ratio `a / b`.
-fn pair_ratios(a: &Stack, b: &Stack) -> (f64, f64, f64) {
-    let mut ratios: Vec<f64> = a
-        .runs
-        .iter()
-        .zip(&b.runs)
-        .map(|(a, b)| a.wall_secs / b.wall_secs)
-        .collect();
-    ratios.sort_by(f64::total_cmp);
-    (
-        ratios[0],
-        ratios[ratios.len() / 2],
-        ratios[ratios.len() - 1],
-    )
 }
 
 fn json_report(stacks: &[Stack], windows: u64, speedup: f64) -> String {
@@ -220,25 +185,18 @@ fn json_report(stacks: &[Stack], windows: u64, speedup: f64) -> String {
         .max()
         .unwrap_or(0);
     let baseline = &stacks[0].runs[0];
-    let (min, median, max) = pair_ratios(&stacks[2], &stacks[1]);
     let mut s = String::from("{\n  \"bench\": \"fleet\",\n");
     let _ = writeln!(
         s,
         "  \"nodes\": {NODES},\n  \"windows\": {windows},\n  \"seed\": {SEED},\n  \
          \"host\": {{\"available_parallelism\": {parallelism}, \"shards\": {shards}}},\n  \
-         \"ticks_per_interval\": {TICKS_PER_INTERVAL},\n  \"timing_pairs\": {PAIRS},\n  \
-         \"speedup\": {speedup:.2},\n  \
-         \"fleet_over_widechip\": {median:.3}, \"fleet_over_widechip_min\": {min:.3}, \
-         \"fleet_over_widechip_max\": {max:.3},\n  \"stacks\": ["
+         \"ticks_per_interval\": {TICKS_PER_INTERVAL},\n  \"speedup\": {speedup:.2},\n  \
+         \"stacks\": ["
     );
     for (i, stack) in stacks.iter().enumerate() {
-        let (hits, misses, rate) = stack
-            .memo()
-            .map_or((0, 0, 0.0), |m| (m.hits, m.misses, m.hit_rate()));
         let _ = writeln!(
             s,
             "    {{\"stack\": \"{}\", \"replays\": {}, \"wall_s\": {:.4}, \"steps_per_s\": {:.0}, \
-             \"memo_hits\": {hits}, \"memo_misses\": {misses}, \"memo_hit_rate\": {rate:.4}, \
              \"identical_to_baseline\": {}}}{}",
             stack.label(),
             stack.runs.len(),
@@ -269,42 +227,25 @@ fn main() -> ExitCode {
         }
     }
 
-    let baseline = replay::<Chip>("baseline_chip", NODES, windows, MemoMode::Off);
-    let widechip = || replay::<WideChip>("widechip", NODES, windows, MemoMode::Off);
-    let fleet = || replay::<WideChip>("fleet_memo", NODES, windows, MemoMode::exact());
-    let (mut wide_runs, mut fleet_runs) = (Vec::new(), Vec::new());
-    for k in 0..PAIRS {
-        if k % 2 == 0 {
-            wide_runs.push(widechip());
-            fleet_runs.push(fleet());
-        } else {
-            fleet_runs.push(fleet());
-            wide_runs.push(widechip());
-        }
-    }
+    let baseline = replay::<Chip>("baseline_chip", NODES, windows);
+    let wide_runs = (0..REPLAYS)
+        .map(|_| replay::<WideChip>("widechip", NODES, windows))
+        .collect();
     let stacks = [
         Stack {
             runs: vec![baseline],
         },
         Stack { runs: wide_runs },
-        Stack { runs: fleet_runs },
     ];
     let baseline = &stacks[0].runs[0];
-    let speedup = baseline.wall_secs / stacks[2].wall_secs();
+    let speedup = baseline.wall_secs / stacks[1].wall_secs();
 
     let mut t = Table::new(
         format!(
             "Fleet fast path ({NODES} nodes, {windows} churn-heavy windows; \
-             median wall of {PAIRS} alternated pairs for the fast stacks)"
+             median wall of {REPLAYS} widechip replays)"
         ),
-        &[
-            "stack",
-            "identical",
-            "wall_s",
-            "ksteps/s",
-            "vs_baseline",
-            "memo_hit_rate",
-        ],
+        &["stack", "identical", "wall_s", "ksteps/s", "vs_baseline"],
     );
     for stack in &stacks {
         t.row(vec![
@@ -317,30 +258,17 @@ fn main() -> ExitCode {
             f2(stack.wall_secs()),
             f1(stack.steps_per_sec() / 1e3),
             f2(baseline.wall_secs / stack.wall_secs()),
-            stack
-                .memo()
-                .map_or("-".into(), |m| format!("{:.1}%", m.hit_rate() * 100.0)),
         ]);
     }
     println!("{t}");
-    let (min, median, max) = pair_ratios(&stacks[2], &stacks[1]);
-    println!(
-        "fleet_memo over widechip wall time: median {median:.3} of {PAIRS} pairs \
-         (range {min:.3}–{max:.3})"
-    );
 
     let mut failures = Vec::new();
-    for stack in &stacks[1..] {
-        if !stack.agrees_with(baseline) {
-            failures.push(format!(
-                "{}: a replay diverged from the scalar-Chip baseline at epsilon = 0",
-                stack.label()
-            ));
-        }
+    if !stacks[1].agrees_with(baseline) {
+        failures.push("widechip: a replay diverged from the scalar-Chip baseline".to_string());
     }
     if speedup < SPEEDUP_GATE {
         failures.push(format!(
-            "fleet stack is {speedup:.2}x the baseline end-to-end (gate: >= {SPEEDUP_GATE}x)"
+            "widechip stack is {speedup:.2}x the baseline end-to-end (gate: >= {SPEEDUP_GATE}x)"
         ));
     }
 
@@ -352,11 +280,9 @@ fn main() -> ExitCode {
     println!("Report written to {out_path}");
 
     if failures.is_empty() {
-        let memo = stacks[2].memo().expect("fleet stack memoizes");
         println!(
-            "PASS: every replay of every stack bit-identical, {speedup:.1}x end-to-end at \
-             {NODES} nodes, memo hit rate {:.1}%.",
-            memo.hit_rate() * 100.0
+            "PASS: every widechip replay bit-identical to the baseline, {speedup:.1}x \
+             end-to-end at {NODES} nodes."
         );
         ExitCode::SUCCESS
     } else {

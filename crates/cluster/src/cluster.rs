@@ -15,9 +15,8 @@ use pap_simcpu::units::{Seconds, Watts};
 use pap_simcpu::widechip::WideChip;
 use pap_telemetry::rollup::{ClusterRollup, NodeTelemetry};
 use pap_workloads::traces::LoadTrace;
-use powerd::config::{AppSpec, MemoMode, PolicyKind, TranslationKind};
-use powerd::daemon::DaemonError;
-use powerd::memo::MemoStats;
+use powerd::config::{AppSpec, PolicyKind, TranslationKind};
+use powerd::daemon::{DaemonError, MemoStats};
 use powerd::obs::{DecisionEvent, DecisionRecord, DecisionTrace};
 
 use crate::admission::{AppRequest, Placement};
@@ -48,9 +47,6 @@ pub struct ClusterConfig {
     /// learned capacity predictions, which the allocator uses to clamp
     /// claim ceilings at rebalance time.
     pub translation: TranslationKind,
-    /// Decision memoization applied to every node daemon (the fleet
-    /// fast path's control-plane half; exact replay by default).
-    pub memo: MemoMode,
 }
 
 impl ClusterConfig {
@@ -66,7 +62,6 @@ impl ClusterConfig {
             tick: Seconds(0.001),
             rebalance_every: 4,
             translation: TranslationKind::Naive,
-            memo: MemoMode::default(),
         }
     }
 }
@@ -255,7 +250,6 @@ impl<C: ChipLike> Cluster<C> {
                 )
                 .map(|mut n| {
                     n.set_translation(cfg.translation);
-                    n.set_memo(cfg.memo);
                     n
                 })
             })
@@ -274,18 +268,10 @@ impl<C: ChipLike> Cluster<C> {
         })
     }
 
-    /// Aggregate decision-memoization counters across every node's
-    /// daemon. `None` when memoization is off.
+    /// Always `None`: node daemons run their policy every interval.
+    /// Delete with the benchmark change that drops `powerd.memo.hit_frac`.
     pub fn memo_stats(&self) -> Option<MemoStats> {
-        let mut total = MemoStats::default();
-        let mut any = false;
-        for n in &self.nodes {
-            if let Some(s) = n.memo_stats() {
-                total.merge(s);
-                any = true;
-            }
-        }
-        any.then_some(total)
+        None
     }
 
     /// Attach a decision-trace observer; each subsequent rebalance round

@@ -28,9 +28,8 @@ use pap_telemetry::rollup::NodeTelemetry;
 use pap_telemetry::sampler::{Sample, Sampler};
 use pap_workloads::engine::RunningApp;
 use pap_workloads::traces::LoadTrace;
-use powerd::config::{AppSpec, DaemonConfig, MemoMode, PolicyKind, TranslationKind};
+use powerd::config::{AppSpec, DaemonConfig, PolicyKind, TranslationKind};
 use powerd::daemon::{ActionView, Daemon, DaemonError};
-use powerd::memo::MemoStats;
 
 use crate::admission::AppRequest;
 
@@ -137,16 +136,6 @@ impl<C: ChipLike> Node<C> {
     /// uses ([`TranslationKind::Naive`] is the paper's α model).
     pub fn set_translation(&mut self, kind: TranslationKind) {
         self.daemon.set_translation(kind);
-    }
-
-    /// Switch the daemon's decision memoization mode.
-    pub fn set_memo(&mut self, mode: MemoMode) {
-        self.daemon.set_memo(mode);
-    }
-
-    /// The daemon's memoization counters, if memoization is enabled.
-    pub fn memo_stats(&self) -> Option<MemoStats> {
-        self.daemon.memo_stats()
     }
 
     /// The daemon's learned prediction of this node's maximum package

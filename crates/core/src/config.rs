@@ -220,50 +220,6 @@ impl Default for ControllerTuning {
     }
 }
 
-/// Decision-memoization mode for the daemon's control loop.
-///
-/// Control traffic in steady fleets is overwhelmingly repetitive: the
-/// same telemetry (within measurement noise) arrives interval after
-/// interval and the policy recomputes the same answer. `DecisionMemo`
-/// fingerprints each interval's policy inputs *and* the policy's own
-/// mutable state; on a repeat it replays the stored output without
-/// running the policy.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum MemoMode {
-    /// Never memoize: every interval runs the policy.
-    Off,
-    /// Replay the previous output when the fingerprint repeats.
-    ///
-    /// `epsilon = 0.0` fingerprints exact f64 bits, so a hit implies the
-    /// step is a state fixpoint and replay is bit-identical to running
-    /// the policy — this is the safe default. `epsilon > 0.0` buckets
-    /// telemetry into relative-error bands of width ε before
-    /// fingerprinting, trading bounded per-interval action drift for a
-    /// higher hit rate under noisy telemetry.
-    Replay {
-        /// Relative quantization width for telemetry fields (0.0 = exact).
-        epsilon: f64,
-    },
-}
-
-impl MemoMode {
-    /// The default-on exact mode.
-    pub fn exact() -> MemoMode {
-        MemoMode::Replay { epsilon: 0.0 }
-    }
-
-    /// Whether memoization is enabled at all.
-    pub fn enabled(self) -> bool {
-        !matches!(self, MemoMode::Off)
-    }
-}
-
-impl Default for MemoMode {
-    fn default() -> MemoMode {
-        MemoMode::exact()
-    }
-}
-
 /// Full daemon configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DaemonConfig {
@@ -290,10 +246,6 @@ pub struct DaemonConfig {
     /// paper's naïve α model, or the online learned model (which itself
     /// falls back to naïve α until its fits are trustworthy).
     pub translation: TranslationKind,
-    /// Decision memoization (fleet fast path). Defaults to exact replay
-    /// (`epsilon = 0`), which is proven bit-identical to running the
-    /// policy every interval.
-    pub memo: MemoMode,
 }
 
 impl DaemonConfig {
@@ -309,7 +261,6 @@ impl DaemonConfig {
             saturation_aware: true,
             tuning: ControllerTuning::default(),
             translation: TranslationKind::Naive,
-            memo: MemoMode::default(),
         }
     }
 

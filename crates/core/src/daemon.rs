@@ -20,8 +20,7 @@ use pap_simcpu::platform::PlatformSpec;
 use pap_telemetry::energy::EnergyLedger;
 use pap_telemetry::sampler::Sample;
 
-use crate::config::{AppSpec, ConfigError, DaemonConfig, MemoMode, PolicyKind, Priority};
-use crate::memo::{DecisionMemo, MemoStats};
+use crate::config::{AppSpec, ConfigError, DaemonConfig, PolicyKind};
 use crate::obs::{AppDecision, DecisionEvent, DecisionRecord, DecisionTrace};
 use crate::policy::fastcap::FastCapAlloc;
 use crate::policy::frequency_shares::FrequencyShares;
@@ -212,17 +211,17 @@ impl Engine {
             Engine::FastCap(p) => Some(p),
         }
     }
+}
 
-    /// Non-mutating [`Policy::memo_state`] dispatch for fingerprinting.
-    fn memo_state(&self, fp: &mut Vec<u64>) {
-        match self {
-            Engine::RaplNative => {}
-            Engine::Priority(p) => p.memo_state(fp),
-            Engine::Power(p) => p.memo_state(fp),
-            Engine::Freq(p) => p.memo_state(fp),
-            Engine::Perf(p) => p.memo_state(fp),
-            Engine::FastCap(p) => p.memo_state(fp),
-        }
+/// Counters of the deleted decision memo. Uninhabited: no value
+/// exists, so [`Daemon::memo_stats`] can only answer `None`. Delete with
+/// the benchmark change that drops `powerd.memo.hit_frac`.
+pub enum MemoStats {}
+
+impl MemoStats {
+    /// Fraction of intervals replayed; unreachable, as no value exists.
+    pub fn hit_rate(&self) -> f64 {
+        match *self {}
     }
 }
 
@@ -262,9 +261,6 @@ pub struct Daemon {
     energy_idx: Vec<usize>,
     /// Reusable per-interval buffers (DESIGN.md §11).
     scratch: StepScratch,
-    /// Decision memoization (DESIGN.md §16). `None` when
-    /// [`MemoMode::Off`]; exact replay by default.
-    memo: Option<DecisionMemo>,
 }
 
 /// Platform-capability checks shared by construction and runtime
@@ -328,10 +324,6 @@ impl Daemon {
         ctx.damping = config.tuning.damping;
         ctx.deadband = Watts(config.tuning.deadband_watts);
         let n_apps = config.apps.len();
-        let memo = match config.memo {
-            MemoMode::Off => None,
-            MemoMode::Replay { epsilon } => Some(DecisionMemo::new(epsilon)),
-        };
         Ok(Daemon {
             config,
             ctx,
@@ -348,23 +340,13 @@ impl Daemon {
             energy: None,
             energy_idx: Vec::new(),
             scratch: StepScratch::new(n_apps, platform.num_cores, platform.shared_pstate_slots),
-            memo,
         })
     }
 
-    /// Switch decision memoization mid-run. Any stored entry is dropped;
-    /// the next interval always runs the policy.
-    pub fn set_memo(&mut self, mode: MemoMode) {
-        self.config.memo = mode;
-        self.memo = match mode {
-            MemoMode::Off => None,
-            MemoMode::Replay { epsilon } => Some(DecisionMemo::new(epsilon)),
-        };
-    }
-
-    /// Memoization hit/miss counters, if memoization is enabled.
+    /// Always `None`: the daemon runs its policy every interval. Delete
+    /// with the benchmark change that drops `powerd.memo.hit_frac`.
     pub fn memo_stats(&self) -> Option<MemoStats> {
-        self.memo.as_ref().map(|m| m.stats())
+        None
     }
 
     /// Attach a decision-trace observer; subsequent control intervals
@@ -437,11 +419,6 @@ impl Daemon {
     /// regime.
     pub fn set_model_config(&mut self, cfg: ModelConfig) {
         self.model = OnlineModel::new(cfg);
-        // The fresh model restarts its generation counter at zero, which
-        // could alias a recorded fingerprint; drop the memo entry.
-        if let Some(m) = self.memo.as_mut() {
-            m.invalidate();
-        }
     }
 
     /// Snapshot of the learned model state for reports.
@@ -549,12 +526,6 @@ impl Daemon {
         self.initialized = false;
         // Account indices are per-app-set; rebuild on the next sample.
         self.energy_idx.clear();
-        // Membership changes are visible in the fingerprint (app count,
-        // shares, targets), but dropping the entry is free on this cold
-        // path and removes any aliasing argument entirely.
-        if let Some(m) = self.memo.as_mut() {
-            m.invalidate();
-        }
     }
 
     /// Accumulate one sample into the attached ledger (no-op without
@@ -833,123 +804,43 @@ impl Daemon {
             }
         }
 
-        // Decision memoization (DESIGN.md §16): fingerprint everything
-        // the policy step reads — telemetry (ε-quantized), budget and
-        // tuning, shares, the previous operating point, the model
-        // generation (only when the online translation consults the
-        // fits), and the policy's own mutable state. On a repeat, replay
-        // the stored output instead of running the policy; see
-        // `crate::memo` for why this is bit-exact at ε = 0.
-        let memo_hit = {
-            let Daemon {
-                ref config,
-                ref ctx,
-                ref engine,
-                ref current,
-                ref current_parked,
-                ref model,
-                ref mut memo,
-                ref mut scratch,
-                ..
-            } = *self;
-            match memo.as_mut() {
-                None => false,
-                Some(m) => {
-                    let StepScratch {
-                        ref views,
-                        ref mut out,
-                        ..
-                    } = *scratch;
-                    m.begin();
-                    m.push_exact(ctx.limit.value().to_bits());
-                    m.push_exact(ctx.deadband.value().to_bits());
-                    m.push_exact(ctx.damping.to_bits());
-                    m.push_quant(sample.package_power.value());
-                    m.push_exact(views.len() as u64);
-                    for v in views {
-                        m.push_exact(v.core as u64);
-                        m.push_exact(v.shares.to_bits());
-                        m.push_exact((v.priority == Priority::High) as u64);
-                        m.push_quant(v.active_freq.khz() as f64);
-                        m.push_quant(v.ips);
-                        m.push_exact(v.baseline_ips.to_bits());
-                        match v.power {
-                            Some(p) => {
-                                m.push_exact(1);
-                                m.push_quant(p.value());
-                            }
-                            None => m.push_exact(0),
-                        }
-                    }
-                    for f in current {
-                        m.push_exact(f.khz());
-                    }
-                    for &parked in current_parked {
-                        m.push_exact(parked as u64);
-                    }
-                    let online = config.translation == TranslationKind::Online;
-                    m.push_exact(online as u64);
-                    if online {
-                        // Learning bumps the generation every interval, so
-                        // online translation only memoizes once learning is
-                        // frozen — which is exactly when the fits stop
-                        // moving and replay is sound.
-                        m.push_exact(model.generation());
-                    }
-                    engine.memo_state(m.fingerprint_mut());
-                    if m.lookup() {
-                        m.replay_into(out);
-                        true
-                    } else {
-                        false
-                    }
-                }
-            }
+        let Daemon {
+            ref config,
+            ref ctx,
+            ref mut engine,
+            ref current,
+            ref model,
+            ref mut scratch,
+            ..
+        } = *self;
+        let StepScratch {
+            ref views,
+            ref mut out,
+            ref mut policy,
+            ..
+        } = *scratch;
+        let translation: &dyn TranslationModel = match config.translation {
+            TranslationKind::Naive => &NaiveAlpha,
+            TranslationKind::Online => model,
         };
-
-        if !memo_hit {
-            let Daemon {
-                ref config,
-                ref ctx,
-                ref mut engine,
-                ref current,
-                ref model,
-                ref mut memo,
-                ref mut scratch,
-                ..
-            } = *self;
-            let StepScratch {
-                ref views,
-                ref mut out,
-                ref mut policy,
-                ..
-            } = *scratch;
-            let translation: &dyn TranslationModel = match config.translation {
-                TranslationKind::Naive => &NaiveAlpha,
-                TranslationKind::Online => model,
-            };
-            match engine.as_policy() {
-                None => {
-                    out.freqs.clear();
-                    out.freqs.resize(config.apps.len(), ctx.grid.max());
-                    out.parked.clear();
-                    out.parked.resize(config.apps.len(), false);
-                }
-                Some(p) => p.step_into(
-                    ctx,
-                    &PolicyInput {
-                        package_power: sample.package_power,
-                        apps: views,
-                        current,
-                    },
-                    translation,
-                    policy,
-                    out,
-                ),
+        match engine.as_policy() {
+            None => {
+                out.freqs.clear();
+                out.freqs.resize(config.apps.len(), ctx.grid.max());
+                out.parked.clear();
+                out.parked.resize(config.apps.len(), false);
             }
-            if let Some(m) = memo.as_mut() {
-                m.record(out);
-            }
+            Some(p) => p.step_into(
+                ctx,
+                &PolicyInput {
+                    package_power: sample.package_power,
+                    apps: views,
+                    current,
+                },
+                translation,
+                policy,
+                out,
+            ),
         }
 
         // Saturation detection compares the *previous* interval's targets

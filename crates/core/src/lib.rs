@@ -70,7 +70,6 @@ pub mod daemon;
 pub mod governor;
 pub mod hw;
 pub mod hwp;
-pub mod memo;
 pub mod obs;
 pub mod policy;
 pub mod quantize;
@@ -80,11 +79,8 @@ pub mod runner;
 
 /// Convenient glob-import of the most used types.
 pub mod prelude {
-    pub use crate::config::{
-        AppSpec, DaemonConfig, MemoMode, PolicyKind, Priority, TranslationKind,
-    };
+    pub use crate::config::{AppSpec, DaemonConfig, PolicyKind, Priority, TranslationKind};
     pub use crate::daemon::{ControlAction, Daemon};
-    pub use crate::memo::{DecisionMemo, MemoStats};
     pub use crate::obs::{AppDecision, DecisionEvent, DecisionRecord, DecisionTrace};
     pub use crate::policy::{Policy, PolicyCtx, PolicyInput, PolicyOutput};
     pub use crate::resilience::{

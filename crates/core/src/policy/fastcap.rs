@@ -88,12 +88,6 @@ impl Policy for FastCapAlloc {
         "fastcap"
     }
 
-    fn memo_state(&self, fp: &mut Vec<u64>) {
-        fp.push(self.weights.len() as u64);
-        fp.extend(self.weights.iter().map(|w| w.to_bits()));
-        self.fallback.memo_state(fp);
-    }
-
     /// Initial distribution is the share-proportional split: there is no
     /// performance telemetry yet to optimize on.
     fn initial(&mut self, ctx: &PolicyCtx, apps: &[crate::policy::AppView]) -> PolicyOutput {

@@ -195,19 +195,6 @@ pub trait Policy {
     fn step(&mut self, ctx: &PolicyCtx, input: &PolicyInput<'_>) -> PolicyOutput {
         self.step_with(ctx, input, &NaiveAlpha)
     }
-
-    /// Append every word of internal mutable state that influences
-    /// [`Policy::step_into`] to `fp`. Decision memoization folds this
-    /// into its input fingerprint: a repeated fingerprint then means the
-    /// step is a fixpoint — identical inputs *and* identical pre-state,
-    /// so replaying the stored output (and leaving the state untouched,
-    /// since a deterministic step from the same (state, input) pair
-    /// reproduces the same post-state) is bit-exact. Stateless policies
-    /// keep the empty default; stateful ones must emit all of it, or
-    /// memoization silently diverges.
-    fn memo_state(&self, fp: &mut Vec<u64>) {
-        let _ = fp;
-    }
 }
 
 /// Saturation-aware upper bound for raising an app's frequency: if the

@@ -59,11 +59,6 @@ impl Policy for PerformanceShares {
         "perf-shares"
     }
 
-    fn memo_state(&self, fp: &mut Vec<u64>) {
-        fp.push(self.perf_limits.len() as u64);
-        fp.extend(self.perf_limits.iter().map(|l| l.to_bits()));
-    }
-
     /// "The initial distribution function distributes this performance
     /// limit among the applications based on their share ratios."
     fn initial(&mut self, ctx: &PolicyCtx, apps: &[crate::policy::AppView]) -> PolicyOutput {

@@ -73,11 +73,6 @@ impl Policy for PowerShares {
         "power-shares"
     }
 
-    fn memo_state(&self, fp: &mut Vec<u64>) {
-        fp.push(self.power_limits.len() as u64);
-        fp.extend(self.power_limits.iter().map(|l| l.to_bits()));
-    }
-
     /// "The initial distribution function distributes the power limit
     /// among the applications based on their share ratios; the result is
     /// a set of per-application limits." The translation function then

@@ -132,19 +132,6 @@ impl Policy for PriorityPolicy {
         "priority"
     }
 
-    fn memo_state(&self, fp: &mut Vec<u64>) {
-        // The flip counter is only ever compared against
-        // `flip_holdoff`, so every value at or above the holdoff is
-        // decision-equivalent and the equivalence class is closed under
-        // stepping (a skipped increment cannot drop it back below).
-        // Clamp before fingerprinting — the raw counter climbs every
-        // interval forever, which would make a hit impossible.
-        fp.push(self.hp_level.khz());
-        fp.push(self.lp_level.khz());
-        fp.push(self.lp_parked as u64);
-        fp.push(self.intervals_since_flip.min(self.flip_holdoff) as u64);
-    }
-
     /// "The daemon starts the HP applications at the highest P-state";
     /// LP applications start parked (or at the floor, in the flooring
     /// variant) until a step finds headroom for them.

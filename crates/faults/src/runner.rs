@@ -111,7 +111,6 @@ pub struct ChaosExperiment {
     plan: FaultPlan,
     seed: u64,
     resilience: bool,
-    rcfg: ResilienceConfig,
     translation: TranslationKind,
     warmup_intervals: usize,
     slack: Watts,
@@ -131,7 +130,6 @@ impl ChaosExperiment {
             plan: FaultPlan::new(),
             seed: 42,
             resilience: true,
-            rcfg: ResilienceConfig::default(),
             translation: TranslationKind::Naive,
             warmup_intervals: 5,
             slack: Watts(2.0),
@@ -182,12 +180,6 @@ impl ChaosExperiment {
     /// Run with (`true`) or without (`false`) the resilience layer.
     pub fn resilience(mut self, on: bool) -> Self {
         self.resilience = on;
-        self
-    }
-
-    /// Override the resilience tuning.
-    pub fn resilience_config(mut self, rcfg: ResilienceConfig) -> Self {
-        self.rcfg = rcfg;
         self
     }
 
@@ -242,7 +234,7 @@ impl ChaosExperiment {
         }
         let mut ctl = if self.resilience {
             Ctl::Resilient(Box::new(
-                ResilientDaemon::new(config, &self.platform, self.rcfg)
+                ResilientDaemon::new(config, &self.platform, ResilienceConfig::default())
                     .map_err(|e| e.to_string())?,
             ))
         } else {
@@ -252,7 +244,7 @@ impl ChaosExperiment {
             )
         };
         let retry = if self.resilience {
-            self.rcfg.retry
+            ResilienceConfig::default().retry
         } else {
             RetryPolicy::none()
         };

@@ -234,7 +234,6 @@ pub struct OnlineModel {
     fallbacks: Cell<u64>,
     pred_n: u64,
     pred_sum_sq: f64,
-    generation: u64,
 }
 
 impl OnlineModel {
@@ -250,25 +249,13 @@ impl OnlineModel {
             fallbacks: Cell::new(0),
             pred_n: 0,
             pred_sum_sq: 0.0,
-            generation: 0,
         }
-    }
-
-    /// Monotone counter bumped whenever the fits (or the learning gate)
-    /// change. Two equal generations imply every translation query
-    /// answers identically, which is what decision memoization
-    /// fingerprints instead of hashing the fit state itself.
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 
     /// Enable or disable learning. Queries still work while learning
     /// is off (the resilience layer turns it off when telemetry is
     /// unhealthy, so poisoned backfill never reaches the fits).
     pub fn set_learning(&mut self, on: bool) {
-        if self.learning != on {
-            self.generation += 1;
-        }
         self.learning = on;
     }
 
@@ -298,7 +285,6 @@ impl OnlineModel {
         if !self.learning {
             return;
         }
-        self.generation += 1;
         let total_ghz: f64 = sample
             .cores
             .iter()
@@ -332,7 +318,6 @@ impl OnlineModel {
         if !self.learning {
             return;
         }
-        self.generation += 1;
         self.apps
             .entry(core)
             .or_insert_with(|| ScalabilityEstimator::new(self.cfg.scalability))
@@ -341,9 +326,7 @@ impl OnlineModel {
 
     /// Drop the scalability fit for a departed app's core.
     pub fn forget_app(&mut self, core: usize) {
-        if self.apps.remove(&core).is_some() {
-            self.generation += 1;
-        }
+        self.apps.remove(&core);
     }
 
     /// Predicted package draw (watts) with all of `cores` cores busy at

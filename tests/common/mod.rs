@@ -1,8 +1,7 @@
 //! Shared harness for the root test suites: the golden-replay plumbing
-//! of the hot-path suites (`hotpath.rs`, `memo.rs`, which replay
-//! `pap_bench::synth`'s telemetry), and the closed-loop `drive` the
-//! off-path suites (`observability.rs`, `energy_offpath.rs`) and
-//! `control_loop.rs` share.
+//! of `hotpath.rs`, which replays `pap_bench::synth`'s telemetry, and
+//! the closed-loop `drive` the off-path suites (`observability.rs`,
+//! `energy_offpath.rs`) and `control_loop.rs` share.
 
 #![allow(dead_code)]
 

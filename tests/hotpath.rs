@@ -9,8 +9,8 @@
 //! `GOLDEN_REGEN=1 cargo test --test hotpath` — but only intentionally:
 //! a diff here means the controller's behaviour changed.
 //!
-//! The synthetic-telemetry harness and scenario matrix are shared with
-//! the decision-memo suite in `memo.rs` (see `common/mod.rs`).
+//! The synthetic-telemetry harness and scenario matrix live in
+//! `common/mod.rs`.
 
 mod common;
 
@@ -27,7 +27,7 @@ use pap_simcpu::widechip::WideChip;
 use pap_telemetry::sampler::Sample;
 use pap_workloads::engine::RunningApp;
 use pap_workloads::spec::spec2017;
-use powerd::config::{AppSpec, DaemonConfig, MemoMode, PolicyKind};
+use powerd::config::{AppSpec, DaemonConfig, PolicyKind};
 use powerd::daemon::Daemon;
 use powerd::resilience::{CoreObservation, Observation, ResilienceConfig, ResilientDaemon};
 
@@ -180,36 +180,31 @@ fn zero_alloc_settled_node_interval() {
         PolicyKind::RaplNative,
     ];
     let mut nodes = Vec::new();
-    let mut labels = Vec::new();
-    for memo in [MemoMode::exact(), MemoMode::Off] {
-        for policy in policies {
-            let mut node = Node::new(
-                nodes.len(),
-                &PlatformSpec::skylake(),
-                policy,
-                Watts(45.0),
-                Seconds(1.0),
-                Seconds(0.002),
-            )
-            .expect("valid node");
-            node.set_memo(memo);
-            let demands = [
-                DemandClass::Heavy,
-                DemandClass::Moderate,
-                DemandClass::Light,
-                DemandClass::Light,
-            ];
-            for (i, demand) in demands.into_iter().enumerate() {
-                node.admit(&AppRequest::new(
-                    format!("app{i}"),
-                    10 + 20 * i as u32,
-                    demand,
-                ))
-                .expect("a free core");
-            }
-            nodes.push(node);
-            labels.push(format!("{policy:?}/{memo:?}"));
+    for policy in policies {
+        let mut node = Node::new(
+            nodes.len(),
+            &PlatformSpec::skylake(),
+            policy,
+            Watts(45.0),
+            Seconds(1.0),
+            Seconds(0.002),
+        )
+        .expect("valid node");
+        let demands = [
+            DemandClass::Heavy,
+            DemandClass::Moderate,
+            DemandClass::Light,
+            DemandClass::Light,
+        ];
+        for (i, demand) in demands.into_iter().enumerate() {
+            node.admit(&AppRequest::new(
+                format!("app{i}"),
+                10 + 20 * i as u32,
+                demand,
+            ))
+            .expect("a free core");
         }
+        nodes.push(node);
     }
     for _ in 0..WARMUP {
         for node in &mut nodes {
@@ -218,14 +213,14 @@ fn zero_alloc_settled_node_interval() {
         Node::settle_rapl(&mut nodes);
     }
     for i in 0..MEASURED {
-        for (node, label) in nodes.iter_mut().zip(&labels) {
+        for (node, policy) in nodes.iter_mut().zip(policies) {
             let before = AllocCounter::snapshot();
             node.advance_interval();
             let after = AllocCounter::snapshot();
             assert_eq!(
                 after.events_since(&before),
                 0,
-                "{label}: interval {} allocated ({} allocs, {} reallocs, {} bytes)",
+                "{policy:?}: interval {} allocated ({} allocs, {} reallocs, {} bytes)",
                 WARMUP + i,
                 after.allocs - before.allocs,
                 after.reallocs - before.reallocs,

@@ -2,7 +2,6 @@
 
 use proptest::prelude::*;
 
-use pap_bench::synth;
 use pap_faults::chaos_platform;
 use pap_faults::plan::{ChaosProfile, FaultPlan};
 use pap_faults::runner::ChaosExperiment;
@@ -266,78 +265,5 @@ proptest! {
             "seed {} profile {:?}: {:?}", seed, profile, r
         );
         prop_assert_eq!(r.starved, 0, "seed {}: {:?}", seed, r);
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Approximate decision memoization (`MemoMode::Replay` with
-    /// ε > 0) bounds its action drift: against a twin daemon that
-    /// recomputes every interval, the per-interval frequency deviation
-    /// stays within a few quantization bands of the telemetry scale —
-    /// replayed decisions come from inputs within ε of the live ones,
-    /// and the controllers' incremental steps cannot amplify that into
-    /// runaway divergence. At ε = 0 the twins must agree to the bit
-    /// (the exactness contract, here under noisy inputs rather than the
-    /// golden stream).
-    #[test]
-    fn memo_epsilon_drift_is_bounded(
-        eps in 1e-4f64..0.05,
-        noise in proptest::collection::vec(-0.49f64..0.49, 60),
-    ) {
-        use powerd::config::MemoMode;
-        let platform = per_app_power::simcpu::platform::PlatformSpec::skylake();
-        let apps = synth::skylake_apps();
-        let limit = Watts(45.0);
-        for (policy, epsilon) in [
-            (PolicyKind::FrequencyShares, eps),
-            (PolicyKind::PerformanceShares, eps),
-            (PolicyKind::FrequencyShares, 0.0),
-        ] {
-            let mut exact_cfg = DaemonConfig::new(policy, limit, apps.clone());
-            exact_cfg.memo = MemoMode::Off;
-            let mut memo_cfg = DaemonConfig::new(policy, limit, apps.clone());
-            memo_cfg.memo = MemoMode::Replay { epsilon };
-            let mut exact = Daemon::new(exact_cfg, &platform).unwrap();
-            let mut memod = Daemon::new(memo_cfg, &platform).unwrap();
-            exact.initial();
-            memod.initial();
-
-            let base = synth::synth_sample(7, &platform, &apps, limit);
-            // One grid step of slack (outputs snap to the P-state grid)
-            // plus a scale term proportional to ε: a replayed action may
-            // lag the recomputed one by the controller's response to an
-            // ε-relative input shift, empirically well under this.
-            let grid_khz = 100_000.0;
-            let bound = grid_khz + 40.0 * epsilon * platform.grid.max().khz() as f64;
-            for (i, &n) in noise.iter().enumerate() {
-                let mut s = base.clone();
-                let jitter = 1.0 + epsilon * n;
-                s.package_power = Watts(base.package_power.value() * jitter);
-                for c in s.cores.iter_mut() {
-                    c.rates.ips *= jitter;
-                }
-                s.time = Seconds((i + 1) as f64);
-                let a = exact.step(&s);
-                let b = memod.step(&s);
-                if epsilon == 0.0 {
-                    prop_assert_eq!(&a, &b, "ε = 0 must stay bit-identical");
-                    continue;
-                }
-                prop_assert_eq!(
-                    &a.parked, &b.parked,
-                    "parking flipped under ε-replay at interval {}", i
-                );
-                for (core, (fa, fb)) in a.freqs.iter().zip(&b.freqs).enumerate() {
-                    let diff = (fa.khz() as f64 - fb.khz() as f64).abs();
-                    prop_assert!(
-                        diff <= bound,
-                        "{:?} ε={} interval {} core {}: drift {} kHz exceeds bound {} kHz",
-                        policy, epsilon, i, core, diff, bound
-                    );
-                }
-            }
-        }
     }
 }
