@@ -17,14 +17,15 @@
 //! caps, per-app reports, final rollup) in any trial, (b) arbiter
 //! throughput at 1024 nodes is below 8x the serial reference, or (c)
 //! sharded throughput scales worse than 0.5x ideal from 64 to 512
-//! nodes. The 1024-node comparison runs as [`PAIRS`] alternated
-//! serial/sharded pairs that flip which side goes first, and gate (b)
-//! judges the median of the per-pair ratios, so one slow trial on a busy
-//! host cannot fail it; the other sizes run one pair. An epsilon > 0
-//! run at the largest size reports the skip rate the tolerance buys.
-//! Results land in `results/BENCH_cluster_scale.json` for CI, with the
-//! host's available parallelism next to the shard count each size used
-//! and the min, median and max speedup over each size's pairs.
+//! nodes. Every size runs as [`PAIRS`] alternated serial/sharded pairs
+//! that flip which side goes first; gate (b) judges the median of the
+//! per-pair ratios and gate (c) the ratio of the two sizes' median
+//! sharded throughputs, so one slow trial on a busy host cannot fail
+//! either. An epsilon > 0 run at the largest size reports the skip rate
+//! the tolerance buys. Results land in `results/BENCH_cluster_scale.json`
+//! for CI, with the host's available parallelism next to the shard
+//! count each size used, and the min, median and max speedup and
+//! sharded throughput over each size's pairs.
 
 use std::fmt::Write as _;
 use std::process::ExitCode;
@@ -45,8 +46,8 @@ fn f2(v: f64) -> String {
 const SIZES: [usize; 4] = [8, 64, 512, 1024];
 /// The size the speedup gate judges.
 const GATED: usize = 1024;
-/// Alternated serial/sharded pairs timed at [`GATED`] nodes (odd, so
-/// the median is one pair's ratio).
+/// Alternated serial/sharded pairs timed at every size (odd, so each
+/// median is one pair's figure).
 const PAIRS: usize = 5;
 const SEED: u64 = 1009;
 /// Mean/swing of the diurnal population trace (fraction of cluster
@@ -183,31 +184,36 @@ fn replay(nodes: usize, windows: u64, engine: Engine, turnover: usize) -> Outcom
 
 struct SizeResult {
     nodes: usize,
-    /// Fastest trial of each engine.
-    serial: Outcome,
-    sharded: Outcome,
+    /// Each engine's trials, fastest first.
+    serial: Vec<Outcome>,
+    sharded: Vec<Outcome>,
     /// Every trial of both engines agrees with the first serial one.
     identical: bool,
     /// Serial over sharded wall time of each pair, ascending.
     speedups: Vec<f64>,
 }
 
+/// The middle element of a sorted, non-empty slice.
+fn median<T>(sorted: &[T]) -> &T {
+    &sorted[sorted.len() / 2]
+}
+
 impl SizeResult {
     /// Median per-pair speedup.
     fn speedup(&self) -> f64 {
-        self.speedups[self.speedups.len() / 2]
+        *median(&self.speedups)
     }
 }
 
-/// Replay `nodes` through both engines in `pairs` alternated pairs,
+/// Replay `nodes` through both engines in [`PAIRS`] alternated pairs,
 /// flipping which engine runs first each pair.
-fn compare(nodes: usize, windows: u64, pairs: usize) -> SizeResult {
+fn compare(nodes: usize, windows: u64) -> SizeResult {
     // Churn-heavy: every window also replaces `nodes` tenants even when
     // the diurnal target is flat.
     let serial = || replay(nodes, windows, Engine::Serial, nodes);
     let sharded = || replay(nodes, windows, Engine::Sharded { epsilon: 0.0 }, nodes);
     let (mut serials, mut shardeds) = (Vec::new(), Vec::new());
-    for k in 0..pairs {
+    for k in 0..PAIRS {
         if k % 2 == 0 {
             serials.push(serial());
             shardeds.push(sharded());
@@ -226,16 +232,12 @@ fn compare(nodes: usize, windows: u64, pairs: usize) -> SizeResult {
         .map(|(a, b)| a.wall_secs / b.wall_secs)
         .collect();
     speedups.sort_by(f64::total_cmp);
-    let fastest = |trials: Vec<Outcome>| {
-        trials
-            .into_iter()
-            .min_by(|a, b| a.wall_secs.total_cmp(&b.wall_secs))
-            .expect("at least one pair")
-    };
+    serials.sort_by(|a, b| a.wall_secs.total_cmp(&b.wall_secs));
+    shardeds.sort_by(|a, b| a.wall_secs.total_cmp(&b.wall_secs));
     SizeResult {
         nodes,
-        serial: fastest(serials),
-        sharded: fastest(shardeds),
+        serial: serials,
+        sharded: shardeds,
         identical,
         speedups,
     }
@@ -250,24 +252,29 @@ fn json_report(results: &[SizeResult], windows: u64, eps: f64, eps_run: &Outcome
          \"host\": {{\"available_parallelism\": {parallelism}}},\n  \"sizes\": ["
     );
     for (i, r) in results.iter().enumerate() {
-        let st = r.sharded.stats.as_ref().expect("sharded run has stats");
+        let (serial, sharded) = (median(&r.serial), median(&r.sharded));
+        let st = sharded.stats.as_ref().expect("sharded run has stats");
+        let slowest = r.sharded.last().expect("at least one pair");
         let _ = writeln!(
             s,
             "    {{\"nodes\": {}, \"identical\": {}, \"serial_wall_s\": {:.4}, \
              \"sharded_wall_s\": {:.4}, \"pairs\": {}, \"speedup\": {:.2}, \
              \"speedup_min\": {:.2}, \"speedup_max\": {:.2}, \
              \"serial_ops_per_s\": {:.0}, \"sharded_ops_per_s\": {:.0}, \
+             \"sharded_ops_per_s_min\": {:.0}, \"sharded_ops_per_s_max\": {:.0}, \
              \"shards\": {}, \"delta_updates\": {}, \"delta_skips\": {}}}{}",
             r.nodes,
             r.identical,
-            r.serial.wall_secs,
-            r.sharded.wall_secs,
+            serial.wall_secs,
+            sharded.wall_secs,
             r.speedups.len(),
             r.speedup(),
             r.speedups[0],
             r.speedups[r.speedups.len() - 1],
-            r.serial.ops_per_sec(),
-            r.sharded.ops_per_sec(),
+            serial.ops_per_sec(),
+            sharded.ops_per_sec(),
+            slowest.ops_per_sec(),
+            r.sharded[0].ops_per_sec(),
             st.shards,
             st.delta_updates,
             st.delta_skips,
@@ -306,7 +313,7 @@ fn main() -> ExitCode {
 
     let results: Vec<SizeResult> = SIZES
         .into_iter()
-        .map(|nodes| compare(nodes, windows, if nodes == GATED { PAIRS } else { 1 }))
+        .map(|nodes| compare(nodes, windows))
         .collect();
     // Tolerance run at the largest size, on a quiet fleet (light
     // background churn): what fraction of rows does epsilon skip when
@@ -333,6 +340,7 @@ fn main() -> ExitCode {
         ],
     );
     for r in &results {
+        let (serial, sharded) = (median(&r.serial), median(&r.sharded));
         t.row(vec![
             r.nodes.to_string(),
             if r.identical {
@@ -340,11 +348,11 @@ fn main() -> ExitCode {
             } else {
                 "NO".into()
             },
-            f2(r.serial.wall_secs),
-            f2(r.sharded.wall_secs),
+            f2(serial.wall_secs),
+            f2(sharded.wall_secs),
             f2(r.speedup()),
-            f1(r.serial.ops_per_sec() / 1e3),
-            f1(r.sharded.ops_per_sec() / 1e3),
+            f1(serial.ops_per_sec() / 1e3),
+            f1(sharded.ops_per_sec() / 1e3),
         ]);
     }
     println!("{t}");
@@ -387,11 +395,15 @@ fn main() -> ExitCode {
              reference, median of {PAIRS} pairs (gate: >= 8x)"
         ));
     }
-    let scaling = at(512).sharded.ops_per_sec() / at(64).sharded.ops_per_sec();
+    let scaling = median(&at(512).sharded).ops_per_sec() / median(&at(64).sharded).ops_per_sec();
+    println!(
+        "sharded throughput retention from 64 to 512 nodes: {scaling:.2}x \
+         (ratio of the medians over {PAIRS} pairs each)"
+    );
     if scaling < 0.5 {
         failures.push(format!(
-            "sharded throughput scales {scaling:.2}x from 64 to 512 nodes \
-             (gate: >= 0.5x ideal)"
+            "sharded throughput scales {scaling:.2}x from 64 to 512 nodes, \
+             ratio of the medians of {PAIRS} pairs (gate: >= 0.5x ideal)"
         ));
     }
 

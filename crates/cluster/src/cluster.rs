@@ -4,6 +4,7 @@
 //! must reproduce it exactly).
 
 use std::cmp::Reverse;
+use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, HashMap};
 use std::error::Error;
 use std::fmt;
@@ -15,11 +16,11 @@ use pap_simcpu::units::{Seconds, Watts};
 use pap_simcpu::widechip::WideChip;
 use pap_telemetry::rollup::{ClusterRollup, NodeTelemetry};
 use pap_workloads::traces::LoadTrace;
-use powerd::config::{AppSpec, PolicyKind, TranslationKind};
+use powerd::config::{AppSpec, PolicyKind, Priority, TranslationKind};
 use powerd::daemon::{DaemonError, MemoStats};
 use powerd::obs::{DecisionEvent, DecisionRecord, DecisionTrace};
 
-use crate::admission::{AppRequest, Placement};
+use crate::admission::{AppRequest, DemandClass, Placement};
 use crate::allocator::{claims_from_rollup, node_cap_bounds, BudgetAllocator, NodeClaim};
 use crate::node::Node;
 
@@ -184,6 +185,37 @@ pub enum RequeueOutcome {
     },
 }
 
+/// Where a placed app runs, and the rest of its [`AppRequest`] (the name
+/// is the placement map's key), kept so quarantine can re-admit it.
+#[derive(Debug, Clone, Copy)]
+struct Placed {
+    node: usize,
+    priority: Priority,
+    shares: u32,
+    demand: DemandClass,
+}
+
+impl Placed {
+    fn new(node: usize, req: &AppRequest) -> Placed {
+        Placed {
+            node,
+            priority: req.priority,
+            shares: req.shares,
+            demand: req.demand,
+        }
+    }
+
+    /// The request that placed the app named `name`.
+    fn request(&self, name: String) -> AppRequest {
+        AppRequest {
+            name,
+            priority: self.priority,
+            shares: self.shares,
+            demand: self.demand,
+        }
+    }
+}
+
 /// A running cluster. Admission, departures, and the serial engine live
 /// here; `pap_scale::run_sharded` drives the same nodes concurrently
 /// through [`EngineSeam`].
@@ -197,8 +229,8 @@ pub struct Cluster<C: ChipLike = WideChip> {
     cfg: ClusterConfig,
     nodes: Vec<Node<C>>,
     allocator: BudgetAllocator,
-    placements: HashMap<String, usize>,
-    requests: HashMap<String, AppRequest>,
+    /// Every placed app by name: one lookup per arrival or departure.
+    placed: HashMap<String, Placed>,
     quarantined: Vec<bool>,
     intervals_run: u64,
     energy_j: f64,
@@ -257,8 +289,7 @@ impl<C: ChipLike> Cluster<C> {
         Ok(Cluster {
             allocator: BudgetAllocator::new(cfg.cluster_cap),
             nodes,
-            placements: HashMap::new(),
-            requests: HashMap::new(),
+            placed: HashMap::new(),
             quarantined: vec![false; cfg.nodes],
             intervals_run: 0,
             energy_j: 0.0,
@@ -314,11 +345,12 @@ impl<C: ChipLike> Cluster<C> {
         req: &AppRequest,
         trace: Option<LoadTrace>,
     ) -> Result<Placement, ClusterError> {
-        if self.placements.contains_key(&req.name) {
+        let cores = self.total_cores();
+        let Entry::Vacant(slot) = self.placed.entry(req.name.clone()) else {
             return Err(ClusterError::DuplicateApp {
                 app: req.name.clone(),
             });
-        }
+        };
         let mut order: Vec<usize> = (0..self.nodes.len()).collect();
         order.sort_by(|&a, &b| {
             self.nodes[a]
@@ -333,8 +365,7 @@ impl<C: ChipLike> Cluster<C> {
             }
             match self.nodes[i].admit_traced(req, trace.clone()) {
                 Ok(core) => {
-                    self.placements.insert(req.name.clone(), i);
-                    self.requests.insert(req.name.clone(), req.clone());
+                    slot.insert(Placed::new(i, req));
                     return Ok(Placement { node: i, core });
                 }
                 Err(e) => last_err = Some(e),
@@ -344,7 +375,7 @@ impl<C: ChipLike> Cluster<C> {
             Some(e) => Err(ClusterError::Daemon(e)),
             None => Err(ClusterError::ClusterFull {
                 app: req.name.clone(),
-                cores: self.total_cores(),
+                cores,
             }),
         }
     }
@@ -370,22 +401,22 @@ impl<C: ChipLike> Cluster<C> {
             .filter(|(i, n)| !self.quarantined[*i] && n.free_cores() > 0)
             .map(|(i, n)| Reverse((n.busy_cores(), i)))
             .collect();
+        let cores = self.total_cores();
         let mut out = Vec::with_capacity(reqs.len());
         let mut spilled = Vec::new();
         for req in reqs {
-            if self.placements.contains_key(&req.name) {
+            let Entry::Vacant(slot) = self.placed.entry(req.name.clone()) else {
                 out.push(Err(ClusterError::DuplicateApp {
                     app: req.name.clone(),
                 }));
                 continue;
-            }
+            };
             let mut placed = None;
             let mut last_err = None;
             while let Some(Reverse((busy, i))) = heap.pop() {
                 match self.nodes[i].admit(req) {
                     Ok(core) => {
-                        self.placements.insert(req.name.clone(), i);
-                        self.requests.insert(req.name.clone(), req.clone());
+                        slot.insert(Placed::new(i, req));
                         if self.nodes[i].free_cores() > 0 {
                             heap.push(Reverse((busy + 1, i)));
                         }
@@ -407,7 +438,7 @@ impl<C: ChipLike> Cluster<C> {
                     Some(e) => ClusterError::Daemon(e),
                     None => ClusterError::ClusterFull {
                         app: req.name.clone(),
-                        cores: self.total_cores(),
+                        cores,
                     },
                 }),
             });
@@ -425,14 +456,15 @@ impl<C: ChipLike> Cluster<C> {
     /// Remove an app; its core parks immediately and its budget claim
     /// dissolves at the next rebalance.
     pub fn depart(&mut self, name: &str) -> Result<AppSpec, ClusterError> {
-        let node = *self
-            .placements
-            .get(name)
+        let (key, placed) = self
+            .placed
+            .remove_entry(name)
             .ok_or_else(|| ClusterError::UnknownApp { app: name.into() })?;
-        let spec = self.nodes[node].depart(name)?;
-        self.placements.remove(name);
-        self.requests.remove(name);
-        Ok(spec)
+        self.nodes[placed.node].depart(name).map_err(|e| {
+            // The node refused: the app stays placed.
+            self.placed.insert(key, placed);
+            e.into()
+        })
     }
 
     /// Take an unhealthy node out of service: every resident app is
@@ -450,24 +482,24 @@ impl<C: ChipLike> Cluster<C> {
         let started = self.observer.as_ref().map(|_| std::time::Instant::now());
         self.quarantined[node] = true;
         let evicted: Vec<String> = self.nodes[node]
-            .apps()
+            .specs()
             .iter()
-            .map(|a| a.spec.name.clone())
+            .map(|s| s.name.clone())
             .collect();
         let mut outcomes = Vec::with_capacity(evicted.len());
         for name in evicted {
-            let req = self
-                .requests
-                .get(&name)
-                .cloned()
-                .expect("every placed app has a recorded request");
+            let placed = self.placed[&name];
             self.depart(&name)?;
+            let req = placed.request(name);
             match self.admit(&req) {
                 Ok(placement) => outcomes.push(RequeueOutcome::Requeued {
-                    app: name,
+                    app: req.name,
                     placement,
                 }),
-                Err(error) => outcomes.push(RequeueOutcome::Dropped { app: name, error }),
+                Err(error) => outcomes.push(RequeueOutcome::Dropped {
+                    app: req.name,
+                    error,
+                }),
             }
         }
         let requeued = outcomes
@@ -640,13 +672,13 @@ impl<C: ChipLike> Cluster<C> {
             .nodes
             .iter()
             .flat_map(|n| {
-                n.apps().iter().map(|a| AppReport {
-                    name: a.spec.name.clone(),
+                n.specs().iter().zip(n.apps()).map(|(s, a)| AppReport {
+                    name: s.name.clone(),
                     node: n.id(),
-                    core: a.spec.core,
-                    shares: a.spec.shares,
+                    core: s.core,
+                    shares: s.shares,
                     total_instructions: a.engine.total_retired(),
-                    baseline_ips: a.spec.baseline_ips,
+                    baseline_ips: s.baseline_ips,
                 })
             })
             .collect();
@@ -823,7 +855,6 @@ fn rebalance_record(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::admission::DemandClass;
 
     fn cluster(nodes: usize, cap: f64) -> Cluster {
         Cluster::new(ClusterConfig::new(
@@ -922,12 +953,11 @@ mod tests {
             let node = if c.nodes[0].free_cores() > 0 { 0 } else { 1 };
             let core = c.nodes[node].admit(&req).unwrap();
             assert!(core < 10);
-            c.placements.insert(req.name.clone(), node);
+            c.placed.insert(req.name.clone(), Placed::new(node, &req));
         }
-        c.nodes[1]
-            .admit(&AppRequest::new("light", 10, DemandClass::Light))
-            .unwrap();
-        c.placements.insert("light".into(), 1);
+        let light = AppRequest::new("light", 10, DemandClass::Light);
+        c.nodes[1].admit(&light).unwrap();
+        c.placed.insert(light.name.clone(), Placed::new(1, &light));
         let before = c.node_caps();
         assert_eq!(before[0], before[1], "even split at startup");
         c.run(12);
@@ -948,11 +978,7 @@ mod tests {
                 .unwrap();
         }
         c.run(4);
-        let victim_apps: Vec<String> = c.nodes[1]
-            .apps()
-            .iter()
-            .map(|a| a.spec.name.clone())
-            .collect();
+        let victim_apps: Vec<String> = c.nodes[1].specs().iter().map(|s| s.name.clone()).collect();
         assert!(!victim_apps.is_empty());
 
         let outcomes = c.quarantine_node(1).unwrap();

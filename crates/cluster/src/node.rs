@@ -33,11 +33,13 @@ use powerd::daemon::{ActionView, Daemon, DaemonError};
 
 use crate::admission::AppRequest;
 
-/// An application resident on a node.
+/// An application resident on a node. Its [`AppSpec`] lives only in
+/// the node daemon's config: [`Node::specs`] lists the specs in
+/// [`Node::apps`] order.
 #[derive(Debug)]
 pub struct ResidentApp {
-    /// The spec registered with the node's daemon.
-    pub spec: AppSpec,
+    /// The core the app is pinned to.
+    pub core: usize,
     /// The simulated workload.
     pub engine: RunningApp,
     /// Optional offered-load trace modulating the app's demand over
@@ -166,12 +168,19 @@ impl<C: ChipLike> Node<C> {
 
     /// Sum of resident apps' shares.
     pub fn total_shares(&self) -> f64 {
-        self.apps.iter().map(|a| a.spec.shares as f64).sum()
+        self.specs().iter().map(|s| s.shares as f64).sum()
     }
 
     /// The apps currently resident, for reporting.
     pub fn apps(&self) -> &[ResidentApp] {
         &self.apps
+    }
+
+    /// The resident apps' specs, as registered with the node's daemon,
+    /// in [`Node::apps`] order: both grow by a push on admission and
+    /// lose the same index, order preserved, on departure.
+    pub fn specs(&self) -> &[AppSpec] {
+        &self.daemon.config().apps
     }
 
     /// Place a requested app on the lowest free core. The daemon
@@ -191,7 +200,7 @@ impl<C: ChipLike> Node<C> {
         trace: Option<LoadTrace>,
     ) -> Result<usize, DaemonError> {
         let core = (0..self.platform.num_cores)
-            .find(|&c| self.apps.iter().all(|a| a.spec.core != c))
+            .find(|&c| self.apps.iter().all(|a| a.core != c))
             .ok_or_else(|| {
                 DaemonError::Config(powerd::config::ConfigError::CoreOutOfRange {
                     app: req.name.clone(),
@@ -204,9 +213,9 @@ impl<C: ChipLike> Node<C> {
             .with_priority(req.priority)
             .with_shares(req.shares)
             .with_baseline_ips(profile.ips(self.platform.grid.max()));
-        self.daemon.add_app(spec.clone())?;
+        self.daemon.add_app(spec)?;
         self.apps.push(ResidentApp {
-            spec,
+            core,
             engine: RunningApp::looping(profile),
             trace,
         });
@@ -219,7 +228,14 @@ impl<C: ChipLike> Node<C> {
     /// for a phantom app).
     pub fn depart(&mut self, name: &str) -> Result<AppSpec, DaemonError> {
         let spec = self.daemon.remove_app(name)?;
-        self.apps.retain(|a| a.spec.name != name);
+        // The daemon removed the spec at its index in `specs()`, the
+        // index of the one app on its core: remove that app the same way.
+        let idx = self
+            .apps
+            .iter()
+            .position(|a| a.core == spec.core)
+            .expect("every spec has its resident app");
+        self.apps.remove(idx);
         self.chip
             .set_forced_idle(spec.core, true)
             .expect("core in range");
@@ -247,10 +263,10 @@ impl<C: ChipLike> Node<C> {
     /// traced apps modulate utilization with time and always can).
     fn apps_steady(&self) -> bool {
         self.apps.iter().all(|a| {
-            self.parked[a.spec.core]
+            self.parked[a.core]
                 || (a.trace.is_none()
                     && a.engine
-                        .steady_at(self.tick, self.chip.effective_freq(a.spec.core)))
+                        .steady_at(self.tick, self.chip.effective_freq(a.core)))
         })
     }
 
@@ -282,7 +298,7 @@ impl<C: ChipLike> Node<C> {
             if self.chip.steady_tick(self.tick) && self.apps_steady() {
                 let k = steps - t;
                 for (app, credit) in self.apps.iter_mut().zip(self.credited.iter_mut()) {
-                    let core = app.spec.core;
+                    let core = app.core;
                     if self.parked[core] {
                         continue;
                     }
@@ -293,7 +309,7 @@ impl<C: ChipLike> Node<C> {
                 break;
             }
             for (app, credit) in self.apps.iter_mut().zip(self.credited.iter_mut()) {
-                let core = app.spec.core;
+                let core = app.core;
                 if self.parked[core] {
                     continue;
                 }
@@ -316,7 +332,7 @@ impl<C: ChipLike> Node<C> {
         }
         for (app, &credit) in self.apps.iter().zip(&self.credited) {
             self.chip
-                .add_instructions(app.spec.core, credit)
+                .add_instructions(app.core, credit)
                 .expect("core in range");
         }
         let sampled = self.sampler.sample_into(&self.chip, &mut self.sample);

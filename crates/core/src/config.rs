@@ -268,11 +268,7 @@ impl DaemonConfig {
     /// set is valid: it describes an idle node (all cores parked), which
     /// cluster admission relies on.
     pub fn validate(&self, num_cores: usize) -> Result<(), ConfigError> {
-        if !self.power_limit.is_valid() || self.power_limit.value() <= 0.0 {
-            return Err(ConfigError::InvalidPowerLimit {
-                limit: self.power_limit,
-            });
-        }
+        check_positive_limit(self.power_limit)?;
         if self.control_interval.value() <= 0.0 {
             return Err(ConfigError::InvalidControlInterval {
                 interval: self.control_interval,
@@ -280,22 +276,9 @@ impl DaemonConfig {
         }
         let mut seen = vec![false; num_cores];
         for app in &self.apps {
-            if app.core >= num_cores {
-                return Err(ConfigError::CoreOutOfRange {
-                    app: app.name.clone(),
-                    core: app.core,
-                    num_cores,
-                });
-            }
-            if seen[app.core] {
-                return Err(ConfigError::DuplicateCorePin { core: app.core });
-            }
-            seen[app.core] = true;
-            if app.shares == 0 {
-                return Err(ConfigError::ZeroShares {
-                    app: app.name.clone(),
-                });
-            }
+            check_app(app, num_cores, || {
+                std::mem::replace(&mut seen[app.core], true)
+            })?;
         }
         Ok(())
     }
@@ -307,17 +290,72 @@ impl DaemonConfig {
     /// [`validate`]: DaemonConfig::validate
     pub fn validate_on(&self, platform: &PlatformSpec) -> Result<(), ConfigError> {
         self.validate(platform.num_cores)?;
-        if let Some(rapl) = &platform.rapl {
-            let (lo, hi) = rapl.limit_range;
-            if self.power_limit < lo || self.power_limit > hi {
-                return Err(ConfigError::PowerLimitOutsideRaplRange {
-                    limit: self.power_limit,
-                    range: (lo, hi),
-                });
-            }
-        }
-        Ok(())
+        check_rapl_range(self.power_limit, platform)
     }
+
+    /// What [`validate`] reports for this valid config with `app`
+    /// appended, checking only `app`: no copy of the config and no
+    /// per-core scratch.
+    ///
+    /// [`validate`]: DaemonConfig::validate
+    pub(crate) fn check_new_app(&self, app: &AppSpec, num_cores: usize) -> Result<(), ConfigError> {
+        check_app(app, num_cores, || {
+            self.apps.iter().any(|a| a.core == app.core)
+        })
+    }
+}
+
+/// What [`DaemonConfig::validate_on`] reports for a valid config with
+/// `limit` in place of its power limit, checking only the limit.
+pub(crate) fn check_limit_on(limit: Watts, platform: &PlatformSpec) -> Result<(), ConfigError> {
+    check_positive_limit(limit)?;
+    check_rapl_range(limit, platform)
+}
+
+fn check_positive_limit(limit: Watts) -> Result<(), ConfigError> {
+    if !limit.is_valid() || limit.value() <= 0.0 {
+        return Err(ConfigError::InvalidPowerLimit { limit });
+    }
+    Ok(())
+}
+
+fn check_rapl_range(limit: Watts, platform: &PlatformSpec) -> Result<(), ConfigError> {
+    if let Some(rapl) = &platform.rapl {
+        let (lo, hi) = rapl.limit_range;
+        if limit < lo || limit > hi {
+            return Err(ConfigError::PowerLimitOutsideRaplRange {
+                limit,
+                range: (lo, hi),
+            });
+        }
+    }
+    Ok(())
+}
+
+/// One app's checks, in [`DaemonConfig::validate`]'s order; `pinned`
+/// answers, once the core is known to be in range, whether an earlier
+/// app holds the same core.
+fn check_app(
+    app: &AppSpec,
+    num_cores: usize,
+    pinned: impl FnOnce() -> bool,
+) -> Result<(), ConfigError> {
+    if app.core >= num_cores {
+        return Err(ConfigError::CoreOutOfRange {
+            app: app.name.clone(),
+            core: app.core,
+            num_cores,
+        });
+    }
+    if pinned() {
+        return Err(ConfigError::DuplicateCorePin { core: app.core });
+    }
+    if app.shares == 0 {
+        return Err(ConfigError::ZeroShares {
+            app: app.name.clone(),
+        });
+    }
+    Ok(())
 }
 
 #[cfg(test)]

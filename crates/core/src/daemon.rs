@@ -20,7 +20,7 @@ use pap_simcpu::platform::PlatformSpec;
 use pap_telemetry::energy::EnergyLedger;
 use pap_telemetry::sampler::Sample;
 
-use crate::config::{AppSpec, ConfigError, DaemonConfig, PolicyKind};
+use crate::config::{check_limit_on, AppSpec, ConfigError, DaemonConfig, PolicyKind};
 use crate::obs::{AppDecision, DecisionEvent, DecisionRecord, DecisionTrace};
 use crate::policy::fastcap::FastCapAlloc;
 use crate::policy::frequency_shares::FrequencyShares;
@@ -162,8 +162,10 @@ impl ActionView<'_> {
 
 /// Reusable per-interval buffers owned by the daemon: app views, the
 /// policy output, policy/quantizer scratch, and the per-core action.
-/// Pre-sized at construction so the steady-state control step performs
-/// zero heap allocations.
+/// The policy output takes its size from the first initial
+/// distribution, which runs before any step; the rest is pre-sized at
+/// construction. Either way the steady-state control step performs zero
+/// heap allocations.
 #[derive(Debug)]
 struct StepScratch {
     views: Vec<AppView>,
@@ -178,10 +180,7 @@ impl StepScratch {
     fn new(napps: usize, ncores: usize, slots: Option<usize>) -> StepScratch {
         StepScratch {
             views: Vec::with_capacity(napps),
-            out: PolicyOutput {
-                freqs: Vec::with_capacity(napps),
-                parked: Vec::with_capacity(napps),
-            },
+            out: PolicyOutput::default(),
             policy: PolicyScratch::with_capacity(napps),
             slots: SlotScratch::with_capacity(ncores, slots.unwrap_or(0)),
             action_freqs: Vec::with_capacity(ncores),
@@ -273,18 +272,22 @@ fn check_capabilities(config: &DaemonConfig, platform: &PlatformSpec) -> Result<
             platform: platform.name,
         });
     }
-    if config.policy.needs_performance_feedback() {
-        for app in &config.apps {
-            if app.baseline_ips <= 0.0 {
-                return Err(DaemonError::MissingBaseline {
-                    app: app.name.clone(),
-                });
-            }
-        }
+    for app in &config.apps {
+        check_baseline(config.policy, app)?;
     }
     if config.policy == PolicyKind::RaplNative && platform.rapl.is_none() {
         return Err(DaemonError::NeedsRapl {
             platform: platform.name,
+        });
+    }
+    Ok(())
+}
+
+/// Performance feedback needs an offline IPS baseline for `app`.
+fn check_baseline(policy: PolicyKind, app: &AppSpec) -> Result<(), DaemonError> {
+    if policy.needs_performance_feedback() && app.baseline_ips <= 0.0 {
+        return Err(DaemonError::MissingBaseline {
+            app: app.name.clone(),
         });
     }
     Ok(())
@@ -440,15 +443,12 @@ impl Daemon {
     /// next control interval re-runs the initial distribution over the
     /// new app set (§5.2 function (i)), exactly as at daemon start.
     pub fn add_app(&mut self, app: AppSpec) -> Result<(), DaemonError> {
-        // Validate against `&self` directly: push the candidate app and
-        // pop it back off on rejection, instead of cloning the whole
-        // configuration. Validation only reads the config, so the
-        // push/pop pair is externally atomic.
+        // The running config passed `check_capabilities`, so only the new
+        // app can fail it: check that app alone, in the same order, and
+        // push it only once it passes.
+        self.config.check_new_app(&app, self.num_cores)?;
+        check_baseline(self.config.policy, &app)?;
         self.config.apps.push(app);
-        if let Err(err) = check_capabilities(&self.config, &self.platform) {
-            self.config.apps.pop();
-            return Err(err);
-        }
         self.reset_distribution();
         Ok(())
     }
@@ -502,15 +502,10 @@ impl Daemon {
     /// allocator retargets node budgets every rebalance). Validated
     /// against the platform's RAPL range; on error nothing changes.
     pub fn retarget_budget(&mut self, limit: Watts) -> Result<(), DaemonError> {
-        // Swap the new limit in, validate against `&self`, and swap back
-        // on rejection — no whole-config clone on this (per-rebalance)
-        // path.
-        let previous = self.config.power_limit;
+        // The rest of the running config is valid, so only the limit is
+        // re-checked on this per-rebalance path.
+        check_limit_on(limit, &self.platform)?;
         self.config.power_limit = limit;
-        if let Err(err) = self.config.validate_on(&self.platform) {
-            self.config.power_limit = previous;
-            return Err(err.into());
-        }
         self.ctx.limit = limit;
         Ok(())
     }
@@ -667,8 +662,9 @@ impl Daemon {
         self.action_view().to_owned()
     }
 
-    /// Cold-path core of [`Daemon::initial`]: runs the policy's initial
-    /// distribution into the scratch buffers.
+    /// Core of [`Daemon::initial`], re-run by the first step after every
+    /// membership change: runs the policy's initial distribution into
+    /// the scratch buffers, allocation-free once they have capacity.
     fn initial_compute(&mut self) {
         self.initialized = true;
         {
@@ -698,7 +694,7 @@ impl Daemon {
                         ips: 0.0,
                         baseline_ips: app.baseline_ips,
                     }));
-                    scratch.out = p.initial(ctx, &scratch.views);
+                    p.initial_into(ctx, &scratch.views, &mut scratch.out);
                 }
             }
         }

@@ -90,8 +90,13 @@ impl Policy for FastCapAlloc {
 
     /// Initial distribution is the share-proportional split: there is no
     /// performance telemetry yet to optimize on.
-    fn initial(&mut self, ctx: &PolicyCtx, apps: &[crate::policy::AppView]) -> PolicyOutput {
-        self.fallback.initial(ctx, apps)
+    fn initial_into(
+        &mut self,
+        ctx: &PolicyCtx,
+        apps: &[crate::policy::AppView],
+        out: &mut PolicyOutput,
+    ) {
+        self.fallback.initial_into(ctx, apps, out);
     }
 
     fn step_into(

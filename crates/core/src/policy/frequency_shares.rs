@@ -11,10 +11,10 @@
 use pap_model::{TranslationModel, TranslationQuery};
 use pap_simcpu::freq::KiloHertz;
 
-use crate::policy::minfund::{
-    distribute_into, initial_proportional, proportional_fill_into, Claim,
+use crate::policy::minfund::{distribute_into, proportional_fill_into, Claim};
+use crate::policy::{
+    initial_split, useful_max, Policy, PolicyCtx, PolicyInput, PolicyOutput, PolicyScratch,
 };
-use crate::policy::{useful_max, Policy, PolicyCtx, PolicyInput, PolicyOutput, PolicyScratch};
 
 /// The frequency-shares policy. Stateless beyond the trait's contract:
 /// the "current allocation" lives in the daemon's programmed targets.
@@ -48,18 +48,18 @@ impl Policy for FrequencyShares {
     /// "The initial distribution function sets the highest-share
     /// application to the maximum frequency and remaining applications to
     /// their proportions of the maximum frequency."
-    fn initial(&mut self, ctx: &PolicyCtx, apps: &[crate::policy::AppView]) -> PolicyOutput {
-        let shares: Vec<f64> = apps.iter().map(|a| a.shares).collect();
-        let raw = initial_proportional(
-            &shares,
+    fn initial_into(
+        &mut self,
+        ctx: &PolicyCtx,
+        apps: &[crate::policy::AppView],
+        out: &mut PolicyOutput,
+    ) {
+        let raw = initial_split(
+            apps,
             ctx.grid.max().khz() as f64,
             ctx.grid.min().khz() as f64,
         );
-        PolicyOutput::running(
-            raw.into_iter()
-                .map(|khz| ctx.grid.round(KiloHertz(khz as u64)))
-                .collect(),
-        )
+        out.set_running(raw.map(|khz| ctx.grid.round(KiloHertz(khz as u64))));
     }
 
     /// "The redistribution function computes the difference in power used

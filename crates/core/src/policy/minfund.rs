@@ -200,21 +200,6 @@ pub fn proportional_fill_into(total: f64, claims: &[Claim], alloc: &mut Vec<f64>
     0.0
 }
 
-/// Proportional *initial* split (§5.2 initial distribution functions): the
-/// highest-share claim receives `max_value`, the rest their proportional
-/// fraction of it, floored at each claim's `min`.
-pub fn initial_proportional(shares: &[f64], max_value: f64, min_value: f64) -> Vec<f64> {
-    debug_assert!(shares.iter().all(|&s| s > 0.0));
-    let top = shares.iter().copied().fold(0.0_f64, f64::max);
-    if top <= 0.0 {
-        return vec![min_value; shares.len()];
-    }
-    shares
-        .iter()
-        .map(|&s| (max_value * s / top).max(min_value).min(max_value))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -366,16 +351,5 @@ mod tests {
         let d = proportional_fill(500.0, &[]);
         assert!(d.allocations.is_empty());
         assert_eq!(d.unplaced, 500.0);
-    }
-
-    #[test]
-    fn initial_split_tops_highest_share() {
-        let v = initial_proportional(&[90.0, 10.0], 3000.0, 800.0);
-        assert!((v[0] - 3000.0).abs() < 1e-9);
-        // 10/90 of 3000 = 333 -> floored at 800 (the paper's low dynamic
-        // range observation: extreme ratios are unachievable)
-        assert!((v[1] - 800.0).abs() < 1e-9);
-        let v = initial_proportional(&[70.0, 30.0], 3000.0, 800.0);
-        assert!((v[1] - 3000.0 * 30.0 / 70.0).abs() < 1e-9);
     }
 }

@@ -9,7 +9,7 @@
 //!    limit, applying min-funding revocation over saturated apps,
 //! 3. a **translation** from resource units to programmable frequencies.
 //!
-//! [`Policy::initial`] is (1); [`Policy::step`] is (2)+(3).
+//! [`Policy::initial_into`] is (1); [`Policy::step_into`] is (2)+(3).
 
 pub mod fastcap;
 pub mod frequency_shares;
@@ -159,8 +159,19 @@ pub trait Policy {
     /// Short name for reports.
     fn name(&self) -> &'static str;
 
-    /// Initial distribution when applications start.
-    fn initial(&mut self, ctx: &PolicyCtx, apps: &[AppView]) -> PolicyOutput;
+    /// Initial distribution when applications start, written into
+    /// `out`. The daemon re-runs it after every membership change, so
+    /// implementations refill `out` and their own per-app state in place:
+    /// once capacity is established, a re-run allocates nothing.
+    fn initial_into(&mut self, ctx: &PolicyCtx, apps: &[AppView], out: &mut PolicyOutput);
+
+    /// Initial distribution when applications start. Convenience wrapper
+    /// over [`Policy::initial_into`] with a fresh buffer.
+    fn initial(&mut self, ctx: &PolicyCtx, apps: &[AppView]) -> PolicyOutput {
+        let mut out = PolicyOutput::default();
+        self.initial_into(ctx, apps, &mut out);
+        out
+    }
 
     /// Redistribution + translation for one control interval, written
     /// into `out` using `scratch` for intermediates. This is the hot
@@ -195,6 +206,26 @@ pub trait Policy {
     fn step(&mut self, ctx: &PolicyCtx, input: &PolicyInput<'_>) -> PolicyOutput {
         self.step_with(ctx, input, &NaiveAlpha)
     }
+}
+
+/// The share-proportional initial split (§5.2): the highest-share app
+/// gets `max_value` and every other app its share's proportion of it,
+/// floored at `min_value` (the paper's low dynamic range: extreme ratios
+/// are unachievable).
+fn initial_split(
+    apps: &[AppView],
+    max_value: f64,
+    min_value: f64,
+) -> impl Iterator<Item = f64> + '_ {
+    debug_assert!(apps.iter().all(|a| a.shares > 0.0));
+    let top = apps.iter().map(|a| a.shares).fold(0.0_f64, f64::max);
+    apps.iter().map(move |a| {
+        if top <= 0.0 {
+            min_value
+        } else {
+            (max_value * a.shares / top).max(min_value).min(max_value)
+        }
+    })
 }
 
 /// Saturation-aware upper bound for raising an app's frequency: if the
@@ -254,6 +285,28 @@ mod tests {
         // idle core (zero measured) is not treated as saturated
         let m = useful_max(&g, KiloHertz::from_mhz(2400), KiloHertz::ZERO);
         assert_eq!(m, g.max());
+    }
+
+    #[test]
+    fn initial_split_tops_highest_share() {
+        let apps = |shares: [f64; 2]| {
+            shares.map(|shares| AppView {
+                core: 0,
+                shares,
+                priority: Priority::High,
+                active_freq: KiloHertz::ZERO,
+                power: None,
+                ips: 0.0,
+                baseline_ips: 0.0,
+            })
+        };
+        let v: Vec<f64> = initial_split(&apps([90.0, 10.0]), 3000.0, 800.0).collect();
+        assert!((v[0] - 3000.0).abs() < 1e-9);
+        // 10/90 of 3000 = 333 -> floored at 800 (the paper's low dynamic
+        // range observation: extreme ratios are unachievable)
+        assert!((v[1] - 800.0).abs() < 1e-9);
+        let v: Vec<f64> = initial_split(&apps([70.0, 30.0]), 3000.0, 800.0).collect();
+        assert!((v[1] - 3000.0 * 30.0 / 70.0).abs() < 1e-9);
     }
 
     #[test]

@@ -14,8 +14,8 @@
 use pap_model::{TranslationModel, TranslationQuery};
 use pap_simcpu::freq::KiloHertz;
 
-use crate::policy::minfund::{initial_proportional, proportional_fill_into, Claim};
-use crate::policy::{Policy, PolicyCtx, PolicyInput, PolicyOutput, PolicyScratch};
+use crate::policy::minfund::{proportional_fill_into, Claim};
+use crate::policy::{initial_split, Policy, PolicyCtx, PolicyInput, PolicyOutput, PolicyScratch};
 
 /// Per-core maximum normalized performance (IPS is normalized to the
 /// standalone maximum-frequency baseline, so 1.0 by construction).
@@ -61,19 +61,20 @@ impl Policy for PerformanceShares {
 
     /// "The initial distribution function distributes this performance
     /// limit among the applications based on their share ratios."
-    fn initial(&mut self, ctx: &PolicyCtx, apps: &[crate::policy::AppView]) -> PolicyOutput {
-        let shares: Vec<f64> = apps.iter().map(|a| a.shares).collect();
-        self.perf_limits = initial_proportional(&shares, MAX_PERFORMANCE, Self::min_perf(ctx));
+    fn initial_into(
+        &mut self,
+        ctx: &PolicyCtx,
+        apps: &[crate::policy::AppView],
+        out: &mut PolicyOutput,
+    ) {
+        self.perf_limits.clear();
+        self.perf_limits
+            .extend(initial_split(apps, MAX_PERFORMANCE, Self::min_perf(ctx)));
         // Naïve linear translation: normalized perf target ≈ f / f_max.
-        PolicyOutput::running(
-            self.perf_limits
-                .iter()
-                .map(|&p| {
-                    ctx.grid
-                        .round(KiloHertz((p * ctx.grid.max().khz() as f64) as u64))
-                })
-                .collect(),
-        )
+        out.set_running(self.perf_limits.iter().map(|&p| {
+            ctx.grid
+                .round(KiloHertz((p * ctx.grid.max().khz() as f64) as u64))
+        }));
     }
 
     /// "The redistribution function updates these per-application limits
@@ -90,7 +91,7 @@ impl Policy for PerformanceShares {
     ) {
         if self.perf_limits.len() != input.apps.len() {
             // Daemon skipped initial(); bootstrap now (cold path).
-            *out = self.initial(ctx, input.apps);
+            self.initial_into(ctx, input.apps, out);
             return;
         }
 

@@ -77,21 +77,23 @@ impl Policy for PowerShares {
     /// among the applications based on their share ratios; the result is
     /// a set of per-application limits." The translation function then
     /// predicts initial frequencies with the linear power model.
-    fn initial(&mut self, ctx: &PolicyCtx, apps: &[crate::policy::AppView]) -> PolicyOutput {
+    fn initial_into(
+        &mut self,
+        ctx: &PolicyCtx,
+        apps: &[crate::policy::AppView],
+        out: &mut PolicyOutput,
+    ) {
         let budget = (ctx.limit.value() - self.uncore_estimate).max(0.0);
         let total_shares: f64 = apps.iter().map(|a| a.shares).sum();
-        self.power_limits = apps
-            .iter()
-            .map(|a| {
-                (budget * a.shares / total_shares).clamp(self.core_min_power, self.core_max_power)
-            })
-            .collect();
-        PolicyOutput::running(
+        self.power_limits.clear();
+        self.power_limits.extend(apps.iter().map(|a| {
+            (budget * a.shares / total_shares).clamp(self.core_min_power, self.core_max_power)
+        }));
+        out.set_running(
             self.power_limits
                 .iter()
-                .map(|&w| self.power_to_freq(ctx, w))
-                .collect(),
-        )
+                .map(|&w| self.power_to_freq(ctx, w)),
+        );
     }
 
     /// "The redistribution function updates per-application limits by
@@ -108,7 +110,7 @@ impl Policy for PowerShares {
     ) {
         if self.power_limits.len() != input.apps.len() {
             // Daemon skipped initial(); bootstrap now (cold path).
-            *out = self.initial(ctx, input.apps);
+            self.initial_into(ctx, input.apps, out);
             return;
         }
 

@@ -76,12 +76,6 @@ impl PriorityPolicy {
         self.lp_parked
     }
 
-    fn render(&self, apps: &[crate::policy::AppView]) -> PolicyOutput {
-        let mut out = PolicyOutput::default();
-        self.render_into(apps, &mut out);
-        out
-    }
-
     fn render_into(&self, apps: &[crate::policy::AppView], out: &mut PolicyOutput) {
         out.freqs.clear();
         out.freqs.extend(apps.iter().map(|a| match a.priority {
@@ -135,12 +129,17 @@ impl Policy for PriorityPolicy {
     /// "The daemon starts the HP applications at the highest P-state";
     /// LP applications start parked (or at the floor, in the flooring
     /// variant) until a step finds headroom for them.
-    fn initial(&mut self, ctx: &PolicyCtx, apps: &[crate::policy::AppView]) -> PolicyOutput {
+    fn initial_into(
+        &mut self,
+        ctx: &PolicyCtx,
+        apps: &[crate::policy::AppView],
+        out: &mut PolicyOutput,
+    ) {
         self.hp_level = ctx.grid.max();
         self.lp_level = ctx.grid.min();
         self.lp_parked = !self.floor_low_priority;
         self.intervals_since_flip = u32::MAX;
-        self.render(apps)
+        self.render_into(apps, out);
     }
 
     fn step_into(
@@ -152,13 +151,8 @@ impl Policy for PriorityPolicy {
         out: &mut PolicyOutput,
     ) {
         if self.hp_level == KiloHertz::ZERO {
-            // Daemon skipped initial(); bootstrap now (same state updates
-            // as `initial`, rendered into the caller's buffer).
-            self.hp_level = ctx.grid.max();
-            self.lp_level = ctx.grid.min();
-            self.lp_parked = !self.floor_low_priority;
-            self.intervals_since_flip = u32::MAX;
-            self.render_into(input.apps, out);
+            // Daemon skipped initial(); bootstrap now (cold path).
+            self.initial_into(ctx, input.apps, out);
             return;
         }
         let n_hp = input

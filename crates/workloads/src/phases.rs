@@ -7,6 +7,8 @@
 //! profile's parameters; phase boundaries are a function of retired
 //! instructions, so phase behavior is deterministic and reproducible.
 
+use std::borrow::Cow;
+
 use crate::profile::WorkloadProfile;
 
 /// One phase segment.
@@ -33,11 +35,20 @@ pub struct PhaseParams {
     pub capacitance: f64,
 }
 
+/// The one phase of a uniform profile, shared by every
+/// [`PhasedProfile::uniform`] so building one allocates nothing.
+static UNIFORM: [Phase; 1] = [Phase {
+    fraction: 1.0,
+    cpi_mult: 1.0,
+    stall_mult: 1.0,
+    cap_mult: 1.0,
+}];
+
 /// A workload profile with phase structure.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhasedProfile {
     base: WorkloadProfile,
-    phases: Vec<Phase>,
+    phases: Cow<'static, [Phase]>,
 }
 
 impl PhasedProfile {
@@ -46,12 +57,7 @@ impl PhasedProfile {
     pub fn uniform(base: WorkloadProfile) -> PhasedProfile {
         PhasedProfile {
             base,
-            phases: vec![Phase {
-                fraction: 1.0,
-                cpi_mult: 1.0,
-                stall_mult: 1.0,
-                cap_mult: 1.0,
-            }],
+            phases: Cow::Borrowed(&UNIFORM),
         }
     }
 
@@ -71,7 +77,10 @@ impl PhasedProfile {
             assert!(p.fraction > 0.0, "non-positive phase fraction");
             assert!(p.cpi_mult > 0.0 && p.stall_mult >= 0.0 && p.cap_mult > 0.0);
         }
-        PhasedProfile { base, phases }
+        PhasedProfile {
+            base,
+            phases: Cow::Owned(phases),
+        }
     }
 
     /// Generate mild pseudo-random phases (±`amplitude` multiplicative
@@ -109,7 +118,10 @@ impl PhasedProfile {
                 cap_mult: 1.0 + amplitude * (2.0 * next() - 1.0),
             })
             .collect();
-        PhasedProfile { base, phases }
+        PhasedProfile {
+            base,
+            phases: Cow::Owned(phases),
+        }
     }
 
     /// The underlying base profile.
@@ -135,7 +147,7 @@ impl PhasedProfile {
         let pos = (retired % total) as f64 / total as f64;
         let mut acc = 0.0;
         let mut chosen = &self.phases[self.phases.len() - 1];
-        for p in &self.phases {
+        for p in self.phases.iter() {
             acc += p.fraction;
             if pos < acc {
                 chosen = p;

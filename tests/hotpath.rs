@@ -16,8 +16,9 @@ mod common;
 
 use clusterd::admission::{AppRequest, DemandClass};
 use clusterd::node::Node;
+use clusterd::{Cluster, ClusterConfig};
 use common::*;
-use pap_alloccount::{AllocCounter, CountingAlloc};
+use pap_alloccount::{count_events, AllocCounter, CountingAlloc};
 use pap_bench::synth::*;
 use pap_model::TranslationKind;
 use pap_simcpu::freq::KiloHertz;
@@ -237,6 +238,138 @@ fn zero_alloc_settled_node_interval() {
             WARMUP + i,
             after.bytes_since(&before),
         );
+    }
+}
+
+/// A membership change re-runs the initial distribution in the daemon's
+/// own buffers. Once a daemon has held its app count before, the step
+/// right after a departure and an arrival allocates nothing under every
+/// policy, and neither does the whole interval of a cluster node (on the
+/// Skylake policies: a `WideChip` node has no shared P-state slots).
+#[test]
+fn zero_alloc_interval_after_membership_change() {
+    const WARMUP: usize = 2;
+    const MEASURED: usize = 10;
+    for (name, policy, platform, apps) in policy_scenarios() {
+        let limit = Watts(45.0);
+        let mut d = Daemon::new(DaemonConfig::new(policy, limit, apps.clone()), &platform)
+            .expect("valid config");
+        d.initial();
+        for i in 0..WARMUP + MEASURED {
+            let s = synth_sample(i, &platform, &apps, limit);
+            d.step_view(&s);
+            let leaving = d.config().apps[0].name.clone();
+            let spec = d.remove_app(&leaving).expect("a configured app");
+            d.add_app(spec).expect("its core is free again");
+            let (_, events) = count_events(|| {
+                d.step_view(&s);
+            });
+            if i >= WARMUP {
+                assert_eq!(
+                    events, 0,
+                    "{name}: the step after membership change {i} allocated"
+                );
+            }
+        }
+    }
+    let policies = [
+        PolicyKind::FrequencyShares,
+        PolicyKind::PerformanceShares,
+        PolicyKind::Priority,
+        PolicyKind::RaplNative,
+        PolicyKind::FastCap,
+    ];
+    let demands = [
+        DemandClass::Heavy,
+        DemandClass::Moderate,
+        DemandClass::Light,
+        DemandClass::Light,
+    ];
+    let request =
+        |i: usize| AppRequest::new(format!("app{i}"), 10 + 20 * (i % 4) as u32, demands[i % 4]);
+    for policy in policies {
+        let mut node = Node::new(
+            0,
+            &PlatformSpec::skylake(),
+            policy,
+            Watts(45.0),
+            Seconds(1.0),
+            Seconds(0.01),
+        )
+        .expect("valid node");
+        for i in 0..demands.len() {
+            node.admit(&request(i)).expect("a free core");
+        }
+        for cycle in 0..WARMUP + MEASURED {
+            let leaving = format!("app{cycle}");
+            let arriving = request(cycle + demands.len());
+            for _ in 0..3 {
+                node.advance_interval();
+            }
+            node.depart(&leaving).expect("a resident app");
+            node.admit(&arriving).expect("a free core");
+            let (_, events) = count_events(|| node.advance_interval());
+            if cycle >= WARMUP {
+                assert_eq!(
+                    events, 0,
+                    "{policy:?}: the interval after membership change {cycle} allocated"
+                );
+            }
+        }
+    }
+}
+
+/// Churn allocates only what it keeps. Once a small frequency-shares
+/// cluster has churned long enough for its buffers to stop growing,
+/// `admit_batch` of k fresh apps stores each name twice (the placement
+/// key and the daemon's spec) plus the batch's candidate heap and result
+/// vector, within a budget of 3k + 2 allocation events that leaves k for
+/// a rare buffer growth; `depart_batch` allocates only its result vector.
+#[test]
+fn churn_allocation_budget() {
+    const NODES: usize = 4;
+    const RESIDENT: usize = 20;
+    const K: usize = 5;
+    const WARMUP: usize = 40;
+    const MEASURED: usize = 20;
+    let mut cfg = ClusterConfig::new(
+        NODES,
+        PolicyKind::FrequencyShares,
+        Watts(45.0 * NODES as f64),
+    );
+    cfg.tick = Seconds(0.01);
+    let mut cluster = Cluster::new(cfg).expect("the budget funds every node floor");
+    let demands = [
+        DemandClass::Heavy,
+        DemandClass::Moderate,
+        DemandClass::Light,
+    ];
+    let request =
+        |i: usize| AppRequest::new(format!("app{i}"), 10 + 10 * (i % 7) as u32, demands[i % 3]);
+    let initial: Vec<AppRequest> = (0..RESIDENT).map(request).collect();
+    assert!(cluster.admit_batch(&initial).iter().all(Result::is_ok));
+    cluster.run(1);
+    for window in 0..WARMUP + MEASURED {
+        // The oldest K apps leave and K fresh ones arrive.
+        let first = window * K;
+        let leaving: Vec<String> = (first..first + K).map(|i| format!("app{i}")).collect();
+        let arriving: Vec<AppRequest> = (first + RESIDENT..first + RESIDENT + K)
+            .map(request)
+            .collect();
+        let (departed, depart_events) = count_events(|| cluster.depart_batch(&leaving));
+        let (admitted, admit_events) = count_events(|| cluster.admit_batch(&arriving));
+        assert!(departed.iter().all(Result::is_ok) && admitted.iter().all(Result::is_ok));
+        if window >= WARMUP {
+            assert!(
+                depart_events <= 1,
+                "window {window}: depart_batch of {K} apps made {depart_events} allocation events"
+            );
+            assert!(
+                admit_events <= 3 * K as u64 + 2,
+                "window {window}: admit_batch of {K} apps made {admit_events} allocation events"
+            );
+        }
+        cluster.run(1);
     }
 }
 

@@ -1,7 +1,10 @@
 //! Property-based tests over the core data structures and invariants.
 
+use std::collections::BTreeSet;
+
 use proptest::prelude::*;
 
+use clusterd::{AppRequest, Cluster, ClusterConfig, ClusterError, DemandClass, RequeueOutcome};
 use pap_faults::chaos_platform;
 use pap_faults::plan::{ChaosProfile, FaultPlan};
 use pap_faults::runner::ChaosExperiment;
@@ -265,5 +268,110 @@ proptest! {
             "seed {} profile {:?}: {:?}", seed, profile, r
         );
         prop_assert_eq!(r.starved, 0, "seed {}: {:?}", seed, r);
+    }
+}
+
+/// A cluster of 3–4 nodes and a churn script of `(op, pick, count)`
+/// steps: `op` chooses an admission, a batch of `count` admissions, a
+/// departure, a quarantine or a restore; `pick` chooses the app or node.
+fn arb_churn_script() -> impl Strategy<Value = (usize, Vec<(u8, usize, usize)>)> {
+    (
+        3usize..5,
+        proptest::collection::vec((0u8..5, 0usize..64, 1usize..6), 1..=24),
+    )
+}
+
+/// The invariants every churn step must keep: each node's daemon specs
+/// and resident apps line up index by index, `reports()` lists exactly
+/// the placed names, and refusing a duplicate admission or an unknown
+/// departure changes nothing.
+fn check_alignment(cluster: &mut Cluster, placed: &BTreeSet<String>, pick: usize) {
+    for node in cluster.nodes() {
+        let (specs, apps) = (node.specs(), node.apps());
+        assert_eq!(specs.len(), apps.len(), "node {}", node.id());
+        for (i, (spec, app)) in specs.iter().zip(apps).enumerate() {
+            assert_eq!(spec.core, app.core, "node {} index {i}", node.id());
+        }
+    }
+    let reports = cluster.reports();
+    let names: Vec<&String> = reports.iter().map(|r| &r.name).collect();
+    assert_eq!(names, placed.iter().collect::<Vec<_>>());
+    if let Some(name) = placed.iter().nth(pick % placed.len().max(1)) {
+        let dup = AppRequest::new(name.clone(), 10, DemandClass::Light);
+        let refused = Err(ClusterError::DuplicateApp { app: name.clone() });
+        assert_eq!(cluster.admit(&dup), refused);
+        assert_eq!(
+            cluster.admit_batch(std::slice::from_ref(&dup)),
+            vec![refused]
+        );
+        assert_eq!(cluster.reports(), reports);
+    }
+    assert_eq!(
+        cluster.depart("ghost"),
+        Err(ClusterError::UnknownApp {
+            app: "ghost".into()
+        })
+    );
+    assert_eq!(cluster.reports(), reports);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Random admissions, batch admissions, departures, quarantines and
+    /// restores, with a control interval after each, keep every node's
+    /// specs aligned with its apps and the placement map in step with
+    /// the nodes.
+    #[test]
+    fn churn_keeps_specs_apps_and_placements_aligned((nodes, script) in arb_churn_script()) {
+        let mut cfg = ClusterConfig::new(
+            nodes,
+            PolicyKind::FrequencyShares,
+            Watts(45.0 * nodes as f64),
+        );
+        cfg.tick = Seconds(0.05);
+        let mut cluster = Cluster::new(cfg).expect("the budget funds every node floor");
+        let demands = [DemandClass::Heavy, DemandClass::Moderate, DemandClass::Light];
+        let mut placed = BTreeSet::new();
+        let mut arrivals = 0usize;
+        for &(op, pick, count) in &script {
+            match op {
+                0 | 1 => {
+                    let count = if op == 0 { 1 } else { count };
+                    let reqs: Vec<AppRequest> = (arrivals..arrivals + count)
+                        .map(|i| {
+                            AppRequest::new(format!("t{i}"), 10 + 30 * (i % 4) as u32, demands[i % 3])
+                        })
+                        .collect();
+                    arrivals += count;
+                    let outcomes = if op == 0 {
+                        vec![cluster.admit(&reqs[0])]
+                    } else {
+                        cluster.admit_batch(&reqs)
+                    };
+                    for (req, outcome) in reqs.iter().zip(outcomes) {
+                        if outcome.is_ok() {
+                            placed.insert(req.name.clone());
+                        }
+                    }
+                }
+                2 => {
+                    if let Some(name) = placed.iter().nth(pick % placed.len().max(1)).cloned() {
+                        prop_assert!(cluster.depart(&name).is_ok(), "{} is placed", name);
+                        placed.remove(&name);
+                    }
+                }
+                3 => {
+                    for outcome in cluster.quarantine_node(pick % nodes).expect("a node id") {
+                        if let RequeueOutcome::Dropped { app, .. } = outcome {
+                            placed.remove(&app);
+                        }
+                    }
+                }
+                _ => cluster.restore_node(pick % nodes).expect("a node id"),
+            }
+            cluster.run(1);
+            check_alignment(&mut cluster, &placed, pick);
+        }
     }
 }
